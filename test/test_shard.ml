@@ -1,7 +1,7 @@
 (* The sharded-runtime determinism contract, pinned.
 
-   Three scenarios (bank, replica, register) under the harshest profile
-   (wan+lossy+crash) at shard counts 1, 2 and 4, two seeds each.  The
+   Four scenarios (bank, replica, register, snapshot) under the harshest
+   profile (wan+lossy+crash) at shard counts 1, 2 and 4, two seeds each.  The
    expected fingerprints are absolute: a fingerprint is a pure function of
    (seed, profile, horizon, workload, shards), so any drift — a changed
    RNG split order, a different outbox injection order, a placement tweak —
@@ -10,7 +10,10 @@
    The shards=1 rows double as the refactor's no-regression proof: they are
    the fingerprints the unsharded runtime produced before sharding existed
    (captured at the commit introducing this file), so one shard still
-   replays the historical traces bit for bit.
+   replays the historical traces bit for bit.  The snapshot rows came
+   later: they were captured from the separate Snapshot member before it
+   and Register were folded onto one shared member core, and pin that
+   fold.
 
    On top of the absolute pins, two relative properties close the loop:
    running with [parallel:true] must reproduce the sequential fingerprint
@@ -29,8 +32,8 @@ let profile =
   | None -> Alcotest.fail "profile wan+lossy+crash missing"
 
 (* Replica runs at the check-smoke sweep's reduced size (2 s horizon, 40
-   writes over 100 replicas) to keep the matrix affordable; bank and
-   register use their scenario defaults. *)
+   writes over 100 replicas) to keep the matrix affordable; bank,
+   register and snapshot use their scenario defaults. *)
 let execute name ~seed ~shards ~parallel =
   let scenario =
     match Scenarios.find name with
@@ -42,8 +45,9 @@ let execute name ~seed ~shards ~parallel =
   in
   Scenario.execute scenario ~seed ~profile ?horizon ?workload ~shards ~parallel ()
 
-(* (scenario, seed, shards, expected fingerprint); the shards=1 rows equal
-   the pre-sharding runtime's output for the same params. *)
+(* (scenario, seed, shards, expected fingerprint); the bank, replica and
+   register shards=1 rows equal the pre-sharding runtime's output for the
+   same params. *)
 let pinned =
   [
     ("bank", 5, 1, "ev=296 sent=210 lost=12 ok=30 to=0");
@@ -64,6 +68,12 @@ let pinned =
     ("register", 11, 1, "ev=15709 sent=13075 lost=631 ok=39 unk=8 ne=1 conv=60000");
     ("register", 11, 2, "ev=22960 sent=12946 lost=622 ok=33 unk=8 ne=7 conv=60000");
     ("register", 11, 4, "ev=26661 sent=12922 lost=597 ok=30 unk=13 ne=5 conv=60000");
+    ("snapshot", 5, 1, "ev=9989 sent=7749 lost=363 ok=17 unk=5 ne=2 conv=60000");
+    ("snapshot", 5, 2, "ev=14861 sent=7759 lost=397 ok=18 unk=5 ne=1 conv=60000");
+    ("snapshot", 5, 4, "ev=17363 sent=7744 lost=366 ok=19 unk=3 ne=2 conv=60000");
+    ("snapshot", 11, 1, "ev=9992 sent=7761 lost=376 ok=16 unk=6 ne=2 conv=60000");
+    ("snapshot", 11, 2, "ev=14859 sent=7714 lost=351 ok=18 unk=4 ne=2 conv=60000");
+    ("snapshot", 11, 4, "ev=17184 sent=7663 lost=356 ok=16 unk=6 ne=2 conv=60000");
   ]
 
 let test_pinned (name, seed, shards, expected) () =
@@ -103,5 +113,7 @@ let tests =
         (test_parallel_matches "bank" 5);
       Alcotest.test_case "register: 4-domain run matches sequential" `Slow
         (test_parallel_matches "register" 11);
+      Alcotest.test_case "snapshot: 4-domain run matches sequential" `Slow
+        (test_parallel_matches "snapshot" 11);
       Alcotest.test_case "repeated parallel runs identical" `Quick test_repeat_identical;
     ]
