@@ -43,8 +43,6 @@ let run ?horizon ?workload ?(shards = 1) ?(parallel = false) ?progress scenario
     wall_s = Unix.gettimeofday () -. started;
   }
 
-let failing_seeds t = List.map (fun f -> (f.profile, f.seed)) t.failures
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s: %d runs (%d seeds from %d x profiles %s): %d failure%s, %.2fs@]"
     t.scenario t.runs t.seeds t.seed_base

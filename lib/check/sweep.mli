@@ -33,9 +33,6 @@ val run :
   seeds:int ->
   t
 
-val failing_seeds : t -> (string * int) list
-(** The (profile, seed) pairs that failed, in run order. *)
-
 val pp : Format.formatter -> t -> unit
 
 val write_json : path:string -> t list -> unit

@@ -16,14 +16,6 @@ type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
    bytes), so a cross-domain counter is safe here. *)
 let next_pid = Dcp_sim.Exec.counter 0
 
-(* The current-process register is per-domain: each shard's engine resumes
-   its own fibers, and shards must not observe each other's scheduler
-   state. *)
-let current : t option Dcp_sim.Exec.domain_local =
-  Dcp_sim.Exec.domain_local (fun () -> None)
-
-let self () = Dcp_sim.Exec.local_get current
-
 let pid t = t.pid
 let name t = t.name
 let state t = t.state
@@ -31,14 +23,6 @@ let alive t = match t.state with Created | Running | Blocked -> true | Finished 
 let failure t = t.failure
 
 let kill t = if alive t then t.state <- Dead
-
-(* Run [f] with [p] recorded as the current process, restoring the previous
-   current process afterwards — resumes can nest (an unlock in process A can
-   synchronously resume process B). *)
-let with_current p f =
-  let previous = Dcp_sim.Exec.local_get current in
-  Dcp_sim.Exec.local_set current (Some p);
-  Fun.protect ~finally:(fun () -> Dcp_sim.Exec.local_set current previous) f
 
 let spawn engine ~name body =
   let p = { pid = Dcp_sim.Exec.fetch_incr next_pid; name; state = Created; failure = None } in
@@ -70,7 +54,7 @@ let spawn engine ~name body =
                       resumed := true;
                       if p.state = Blocked then begin
                         p.state <- Running;
-                        with_current p (fun () -> Effect.Deep.continue k v)
+                        Effect.Deep.continue k v
                       end
                       (* a killed process's continuation is dropped; the
                          fiber is reclaimed by the GC *)
@@ -84,7 +68,7 @@ let spawn engine ~name body =
   let start () =
     if p.state = Created then begin
       p.state <- Running;
-      with_current p (fun () -> Effect.Deep.match_with body () handler)
+      Effect.Deep.match_with body () handler
     end
   in
   ignore (Engine.schedule_after engine ~delay:0 start);

@@ -54,6 +54,3 @@ val sleep : Dcp_sim.Engine.t -> Dcp_sim.Clock.time -> unit
 
 val yield : Dcp_sim.Engine.t -> unit
 (** Reschedule self at the current time, letting other ready events run. *)
-
-val self : unit -> t option
-(** The currently executing process, if any. *)

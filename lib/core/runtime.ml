@@ -161,7 +161,6 @@ let registry w = w.registry
 let world_rng w = (shard0 w).sworkload_rng
 
 let shard_count w = w.shard_count
-let epoch_length w = w.epoch
 
 let events_executed w =
   Array.fold_left (fun acc s -> acc + Engine.events_executed s.sengine) 0 w.shards
@@ -192,11 +191,6 @@ let network_stats w =
       bytes_sent = 0;
     }
     w.shards
-
-let node_shard w node_id =
-  match Hashtbl.find_opt w.nodes node_id with
-  | None -> invalid_arg "Runtime.node_shard: unknown node"
-  | Some node -> node.shard.shard_id
 
 let scount sh name = Metrics.incr (Metrics.counter sh.smetrics name)
 let stracef sh category fmt = Trace.recordf sh.strace ~at:(Engine.now sh.sengine) ~category fmt
@@ -248,7 +242,6 @@ let crash_count w node_id =
 
 let ctx_world c = c.cworld
 let ctx_guardian c = c.cguardian
-let ctx_node c = c.cguardian.home.node_id
 let ctx_shard c = c.cguardian.home.shard
 let ctx_now c = Engine.now (ctx_shard c).sengine
 let ctx_engine c = (ctx_shard c).sengine

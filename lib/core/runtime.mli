@@ -129,10 +129,6 @@ val world_rng : world -> Dcp_rng.Rng.t
     from {!ctx_rng} so each shard consumes its own stream. *)
 
 val shard_count : world -> int
-val epoch_length : world -> Clock.time
-val node_shard : world -> node_id -> int
-(** Which shard hosts a node: [i mod shards] for the topology's [i]-th
-    node. @raise Invalid_argument on unknown node. *)
 
 val events_executed : world -> int
 (** Total engine events executed, summed across shards. *)
@@ -202,7 +198,6 @@ val crash_count : world -> node_id -> int
 
 val ctx_world : ctx -> world
 val ctx_guardian : ctx -> guardian
-val ctx_node : ctx -> node_id
 val ctx_now : ctx -> Clock.time
 
 val ctx_metrics : ctx -> Dcp_sim.Metrics.registry

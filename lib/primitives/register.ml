@@ -91,239 +91,249 @@ module Table = struct
       (Store.to_alist store)
 end
 
-(* ---- payloads ---- *)
+(* ---- the SCD member core, shared with Snapshot ---- *)
 
-let write_payload ~key ~value = Value.tuple [ Value.str "w"; Value.str key; value ]
-let sync_payload = Value.tuple [ Value.str "s" ]
+module Member = struct
+  type answer = Table.t -> string * Value.t list
 
-(* ---- durable at-most-once request records ---- *)
+  type op = Deferred of Value.t * answer | Immediate of Value.t option * answer
 
-(* "rid:<id>" holds "?" from the moment a request starts mutating until its
-   reply is known, then the encoded reply.  A duplicate (network-duplicated
-   or retried) of a finished request gets the recorded reply; a duplicate of
-   an in-flight or crash-interrupted one is dropped — re-executing it would
-   broadcast the write a second time under a fresh timestamp, which is
-   exactly the double-apply that breaks atomicity. *)
-let rid_key rid = Printf.sprintf "rid:%d" rid
-let inflight_marker = "?"
+  type dispatch = string -> Value.t list -> op option
 
-let record_inflight ctx rid = Store.set (Runtime.store ctx) ~key:(rid_key rid) inflight_marker
+  let write_payload ~key ~value = Value.tuple [ Value.str "w"; Value.str key; value ]
+  let sync_payload = Value.tuple [ Value.str "s" ]
 
-let record_reply ctx rid ~command args =
-  Store.set (Runtime.store ctx) ~key:(rid_key rid)
-    (Codec.encode_exn (Value.tuple [ Value.str command; Value.list args ]))
+  (* "rid:<id>" holds "?" from the moment a request starts mutating until
+     its reply is known, then the encoded reply.  A duplicate
+     (network-duplicated or retried) of a finished request gets the
+     recorded reply; a duplicate of an in-flight or crash-interrupted one
+     is dropped — re-executing it would broadcast the write a second time
+     under a fresh timestamp, which is exactly the double-apply that breaks
+     atomicity. *)
+  let rid_key rid = Printf.sprintf "rid:%d" rid
+  let inflight_marker = "?"
 
-let recorded_reply store rid =
-  match Store.get store ~key:(rid_key rid) with
-  | None -> None
-  | Some data when String.equal data inflight_marker -> Some None
-  | Some data -> (
-      match Codec.decode data with
-      | Ok (Value.Tuple [ Value.Str command; Value.Listv args ]) -> Some (Some (command, args))
-      | Ok _ | Error _ -> Some None)
+  let record_inflight ctx rid =
+    Store.set (Runtime.store ctx) ~key:(rid_key rid) inflight_marker
 
-(* ---- member state ---- *)
+  let record_reply ctx rid ~command args =
+    Store.set (Runtime.store ctx) ~key:(rid_key rid)
+      (Codec.encode_exn (Value.tuple [ Value.str command; Value.list args ]))
 
-type action = Reply_written | Reply_read of string
+  let recorded_reply store rid =
+    match Store.get store ~key:(rid_key rid) with
+    | None -> None
+    | Some data when String.equal data inflight_marker -> Some None
+    | Some data -> (
+        match Codec.decode data with
+        | Ok (Value.Tuple [ Value.Str command; Value.Listv args ]) ->
+            Some (Some (command, args))
+        | Ok _ | Error _ -> Some None)
 
-type pending = { reply : Port_name.t; rid : int; action : action }
+  type pending = { reply : Port_name.t; rid : int; answer : answer }
 
-type state = {
-  scd : Scd.t;
-  table : Table.t;
-  stale_reads : bool;
-  pending : (int, pending) Hashtbl.t;  (** own broadcast seq -> parked request *)
-  malformed : Metrics.counter;
-}
+  type state = {
+    scd : Scd.t;
+    table : Table.t;
+    dispatch : dispatch;
+    pending : (int, pending) Hashtbl.t;  (** own broadcast seq -> parked request *)
+    malformed : Metrics.counter;
+  }
+
+  let send_reply ctx ~reply ~rid command args =
+    Runtime.send ctx ~to_:reply command (Value.int rid :: args)
+
+  let answer_now ctx st ~reply ~rid answer =
+    let command, args = answer st.table in
+    record_reply ctx rid ~command args;
+    send_reply ctx ~reply ~rid command args
+
+  (* Resolve one parked request after its own broadcast was delivered: the
+     reply (and its durable record) reflects the table at that delivery
+     point. *)
+  let resolve ctx st ~seq =
+    match Hashtbl.find_opt st.pending seq with
+    | None -> () (* parked pre-crash: the requester's reply is forgotten *)
+    | Some p ->
+        Hashtbl.remove st.pending seq;
+        answer_now ctx st ~reply:p.reply ~rid:p.rid p.answer
+
+  (* Apply every newly delivered set: writes first (in ts order — LWW makes
+     the grouping into sets immaterial), then answer the parked requests
+     whose own messages are in the set. *)
+  let apply_deliveries ctx st =
+    List.iter
+      (fun set ->
+        List.iter
+          (fun (d : Scd.delivery) ->
+            match d.Scd.payload with
+            | Value.Tuple [ Value.Str "w"; Value.Str key; value ] ->
+                Table.apply ctx st.table ~key ~value ~ts:d.Scd.ts
+            | _ -> () (* sync markers carry no effect *))
+          set;
+        List.iter
+          (fun (d : Scd.delivery) ->
+            if d.Scd.id.Scd.origin = Scd.self st.scd then resolve ctx st ~seq:d.Scd.id.Scd.seq)
+          set)
+      (Scd.drain st.scd)
+
+  let handle_request ctx st ~reply ~rid command args =
+    match recorded_reply (Runtime.store ctx) rid with
+    | Some (Some (recorded, recorded_args)) -> send_reply ctx ~reply ~rid recorded recorded_args
+    | Some None -> () (* in flight (or lost to a crash): never re-execute *)
+    | None -> (
+        match (st.dispatch command args, command) with
+        | Some (Deferred (payload, answer)), _ ->
+            record_inflight ctx rid;
+            let id = Scd.broadcast ctx st.scd payload in
+            Hashtbl.replace st.pending id.Scd.seq { reply; rid; answer }
+        | Some (Immediate (payload, answer)), _ ->
+            Option.iter (fun payload -> ignore (Scd.broadcast ctx st.scd payload)) payload;
+            answer_now ctx st ~reply ~rid answer
+        | None, "members" ->
+            (* Idempotent re-join offer from a bootstrap retry. *)
+            send_reply ctx ~reply ~rid "members_ok" []
+        | None, _ -> Metrics.incr st.malformed)
+
+  let serve ctx st =
+    let request_port = Runtime.port ctx 0 in
+    Scd.spawn_ticker ctx st.scd;
+    let rec loop () =
+      (match Runtime.receive ctx [ request_port ] with
+      | `Timeout -> ()
+      | `Msg (_, msg) -> (
+          match Scd.handle ctx st.scd msg with
+          | `Handled -> apply_deliveries ctx st
+          | `Unrelated -> (
+              match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
+              | "failure", _, _ -> ()
+              | command, Value.Int rid :: args, Some reply ->
+                  handle_request ctx st ~reply ~rid command args;
+                  apply_deliveries ctx st
+              | _ -> Metrics.incr st.malformed)));
+      loop ()
+    in
+    loop ()
+
+  let make_state ctx ~scd ~dispatch =
+    {
+      scd;
+      table = Table.restore (Runtime.store ctx);
+      dispatch;
+      pending = Hashtbl.create 16;
+      malformed = Metrics.counter (Runtime.ctx_metrics ctx) metric_malformed;
+    }
+
+  (* Before the bootstrap introduces the group there is no Scd yet: park on
+     the request port, refuse real operations with not_ready, and switch to
+     serving on the first members offer. *)
+  let await_members ctx ~config ~dispatch =
+    let request_port = Runtime.port ctx 0 in
+    let rec wait () =
+      match Runtime.receive ctx [ request_port ] with
+      | `Timeout -> wait ()
+      | `Msg (_, msg) -> (
+          match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
+          | "members", [ Value.Int rid; members_arg ], Some reply -> (
+              match Scd.parse_members [ members_arg ] with
+              | Some members when members <> [] ->
+                  let scd = Scd.create ctx ~config ~members () in
+                  let st = make_state ctx ~scd ~dispatch in
+                  send_reply ctx ~reply ~rid "members_ok" [];
+                  serve ctx st
+              | Some _ | None -> wait ())
+          | _, Value.Int rid :: _, Some reply ->
+              send_reply ctx ~reply ~rid "not_ready" [];
+              wait ()
+          | _ -> wait ())
+    in
+    wait ()
+
+  let def ~def_name ~port_type ~init ~in_store =
+    let recover ctx =
+      let store = Runtime.store ctx in
+      let dispatch = in_store store in
+      match Scd.recover ctx with
+      | Some scd -> serve ctx (make_state ctx ~scd ~dispatch)
+      | None -> await_members ctx ~config:(Scd.config_in_store store) ~dispatch
+    in
+    {
+      Runtime.def_name;
+      provides = [ (port_type, 512) ];
+      init =
+        (fun ctx args ->
+          match args with
+          | Value.Int status_every :: Value.Int resend_max :: rest
+            when status_every > 0 && resend_max > 0 ->
+              let dispatch = init ctx rest in
+              let config = { Scd.status_every; resend_max } in
+              Scd.persist_group_config ctx config;
+              await_members ctx ~config ~dispatch
+          | _ -> invalid_arg (def_name ^ ": bad creation arguments"));
+      recover = Some recover;
+    }
+
+  let create_group world (def : Runtime.def) ~nodes ~args ~introduce_at =
+    let def_name = def.Runtime.def_name in
+    if nodes = [] then invalid_arg (def_name ^ ": need at least one node");
+    if Runtime.find_def world def_name = None then Runtime.register_def world def;
+    let ports =
+      List.map
+        (fun at ->
+          let g = Runtime.create_guardian world ~at ~def_name ~args in
+          List.hd (Runtime.guardian_ports g))
+        nodes
+    in
+    Scd.introduce world ~group:def_name ~at:introduce_at ~members:ports;
+    ports
+end
+
+(* ---- the register ---- *)
 
 let mode_key = "cfg:mode"
 
-let persist_mode ctx ~stale_reads =
-  Store.set (Runtime.store ctx) ~key:mode_key (if stale_reads then "stale" else "atomic")
-
-let mode_in_store store =
-  match Store.get store ~key:mode_key with Some "stale" -> true | Some _ | None -> false
-
-let send_reply ctx ~reply ~rid command args =
-  Runtime.send ctx ~to_:reply command (Value.int rid :: args)
-
-(* Resolve one parked request after its own broadcast was delivered: the
-   reply (and its durable record) reflects the table at that delivery
-   point. *)
-let resolve ctx st ~seq =
-  match Hashtbl.find_opt st.pending seq with
-  | None -> () (* parked pre-crash: the requester's reply is forgotten *)
-  | Some p ->
-      Hashtbl.remove st.pending seq;
-      let command, args =
-        match p.action with
-        | Reply_written -> ("written", [])
-        | Reply_read key -> (
-            match Table.get st.table key with
-            | Some (value, _) -> ("value", [ value ])
-            | None -> ("unknown_key", []))
+let dispatch ~stale_reads command args =
+  match (command, args) with
+  | "write", [ Value.Str key; value ] ->
+      let payload = Member.write_payload ~key ~value in
+      let answer _ = ("written", []) in
+      (* The deliberate mutation, write half: acknowledge on broadcast
+         instead of on delivery, so the ack can precede the write being
+         readable anywhere — the classic fast-ack atomicity bug the
+         linearizability oracle exists to catch. *)
+      Some
+        (if stale_reads then Member.Immediate (Some payload, answer)
+         else Member.Deferred (payload, answer))
+  | "read", [ Value.Str key ] ->
+      let answer table =
+        match Table.get table key with
+        | Some (value, _) -> ("value", [ value ])
+        | None -> ("unknown_key", [])
       in
-      record_reply ctx p.rid ~command args;
-      send_reply ctx ~reply:p.reply ~rid:p.rid command args
+      (* The deliberate mutation, read half: no delivery barrier, so the
+         reply can predate writes already acknowledged elsewhere. *)
+      Some
+        (if stale_reads then Member.Immediate (None, answer)
+         else Member.Deferred (Member.sync_payload, answer))
+  | _ -> None
 
-(* Apply every newly delivered set: writes first (in ts order — LWW makes
-   the grouping into sets immaterial), then answer the parked requests
-   whose own messages are in the set. *)
-let apply_deliveries ctx st =
-  List.iter
-    (fun set ->
-      List.iter
-        (fun (d : Scd.delivery) ->
-          match d.Scd.payload with
-          | Value.Tuple [ Value.Str "w"; Value.Str key; value ] ->
-              Table.apply ctx st.table ~key ~value ~ts:d.Scd.ts
-          | _ -> () (* sync markers carry no effect *))
-        set;
-      List.iter
-        (fun (d : Scd.delivery) ->
-          if d.Scd.id.Scd.origin = Scd.self st.scd then resolve ctx st ~seq:d.Scd.id.Scd.seq)
-        set)
-    (Scd.drain st.scd)
-
-let handle_request ctx st ~reply ~rid command args =
-  match recorded_reply (Runtime.store ctx) rid with
-  | Some (Some (recorded, recorded_args)) -> send_reply ctx ~reply ~rid recorded recorded_args
-  | Some None -> () (* in flight (or lost to a crash): never re-execute *)
-  | None -> (
-      match (command, args) with
-      | "write", [ Value.Str key; value ] ->
-          if st.stale_reads then begin
-            (* The deliberate mutation, write half: acknowledge on broadcast
-               instead of on delivery, so the ack can precede the write
-               being readable anywhere — the classic fast-ack atomicity
-               bug the linearizability oracle exists to catch. *)
-            ignore (Scd.broadcast ctx st.scd (write_payload ~key ~value));
-            record_reply ctx rid ~command:"written" [];
-            send_reply ctx ~reply ~rid "written" []
-          end
-          else begin
-            record_inflight ctx rid;
-            let id = Scd.broadcast ctx st.scd (write_payload ~key ~value) in
-            Hashtbl.replace st.pending id.Scd.seq { reply; rid; action = Reply_written }
-          end
-      | "read", [ Value.Str key ] ->
-          if st.stale_reads then begin
-            (* The deliberate mutation, read half: no delivery barrier, so
-               the reply can predate writes already acknowledged elsewhere. *)
-            let command, args =
-              match Table.get st.table key with
-              | Some (value, _) -> ("value", [ value ])
-              | None -> ("unknown_key", [])
-            in
-            record_reply ctx rid ~command args;
-            send_reply ctx ~reply ~rid command args
-          end
-          else begin
-            record_inflight ctx rid;
-            let id = Scd.broadcast ctx st.scd sync_payload in
-            Hashtbl.replace st.pending id.Scd.seq { reply; rid; action = Reply_read key }
-          end
-      | "members", _ ->
-          (* Idempotent re-join offer from a bootstrap retry. *)
-          send_reply ctx ~reply ~rid "members_ok" []
-      | _ -> Metrics.incr st.malformed)
-
-let serve ctx st =
-  let request_port = Runtime.port ctx 0 in
-  Scd.spawn_ticker ctx st.scd;
-  let rec loop () =
-    (match Runtime.receive ctx [ request_port ] with
-    | `Timeout -> ()
-    | `Msg (_, msg) -> (
-        match Scd.handle ctx st.scd msg with
-        | `Handled -> apply_deliveries ctx st
-        | `Unrelated -> (
-            match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
-            | "failure", _, _ -> ()
-            | command, Value.Int rid :: args, Some reply ->
-                handle_request ctx st ~reply ~rid command args;
-                apply_deliveries ctx st
-            | _ -> Metrics.incr st.malformed)));
-    loop ()
-  in
-  loop ()
-
-let make_state ctx ~scd ~table ~stale_reads =
-  {
-    scd;
-    table;
-    stale_reads;
-    pending = Hashtbl.create 16;
-    malformed = Metrics.counter (Runtime.ctx_metrics ctx) metric_malformed;
-  }
-
-(* Before the bootstrap introduces the group there is no Scd yet: park on
-   the request port, refuse real operations with not_ready, and switch to
-   serving on the first members offer. *)
-let await_members ctx ~config ~stale_reads =
-  let request_port = Runtime.port ctx 0 in
-  let rec wait () =
-    match Runtime.receive ctx [ request_port ] with
-    | `Timeout -> wait ()
-    | `Msg (_, msg) -> (
-        match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
-        | "members", [ Value.Int rid; members_arg ], Some reply -> (
-            match Scd.parse_members [ members_arg ] with
-            | Some members when members <> [] ->
-                let scd = Scd.create ctx ~config ~members () in
-                let st =
-                  make_state ctx ~scd ~table:(Table.restore (Runtime.store ctx)) ~stale_reads
-                in
-                send_reply ctx ~reply ~rid "members_ok" [];
-                serve ctx st
-            | Some _ | None -> wait ())
-        | _, Value.Int rid :: _, Some reply ->
-            send_reply ctx ~reply ~rid "not_ready" [];
-            wait ()
-        | _ -> wait ())
-  in
-  wait ()
-
-let recover ctx =
-  let store = Runtime.store ctx in
-  let stale_reads = mode_in_store store in
-  match Scd.recover ctx with
-  | Some scd ->
-      let st = make_state ctx ~scd ~table:(Table.restore store) ~stale_reads in
-      serve ctx st
-  | None -> await_members ctx ~config:(Scd.config_in_store store) ~stale_reads
-
-let def : Runtime.def =
-  {
-    Runtime.def_name;
-    provides = [ (port_type, 512) ];
-    init =
-      (fun ctx args ->
-        match args with
-        | [ Value.Int status_every; Value.Int resend_max; Value.Bool stale_reads ]
-          when status_every > 0 && resend_max > 0 ->
-            persist_mode ctx ~stale_reads;
-            let config = { Scd.status_every; resend_max } in
-            Scd.persist_group_config ctx config;
-            await_members ctx ~config ~stale_reads
-        | _ -> invalid_arg "register: bad creation arguments");
-    recover = Some recover;
-  }
+let def =
+  Member.def ~def_name ~port_type
+    ~init:(fun ctx -> function
+      | [ Value.Bool stale_reads ] ->
+          Store.set (Runtime.store ctx) ~key:mode_key
+            (if stale_reads then "stale" else "atomic");
+          dispatch ~stale_reads
+      | _ -> invalid_arg "register: bad creation arguments")
+    ~in_store:(fun store ->
+      dispatch
+        ~stale_reads:
+          (match Store.get store ~key:mode_key with Some "stale" -> true | Some _ | None -> false))
 
 let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32)
     ?(stale_reads = false) ~introduce_at () =
-  if nodes = [] then invalid_arg "Register.create_group: need at least one node";
-  if Runtime.find_def world def_name = None then Runtime.register_def world def;
-  let args = [ Value.int status_every; Value.int resend_max; Value.bool stale_reads ] in
-  let ports =
-    List.map
-      (fun at ->
-        let g = Runtime.create_guardian world ~at ~def_name ~args in
-        List.hd (Runtime.guardian_ports g))
-      nodes
-  in
-  Scd.introduce world ~group:def_name ~at:introduce_at ~members:ports;
-  ports
+  Member.create_group world def ~nodes ~introduce_at
+    ~args:[ Value.int status_every; Value.int resend_max; Value.bool stale_reads ]
 
 let write ctx ~register ~key ~value ~timeout =
   match

@@ -123,7 +123,6 @@ val parse_members : Value.t list -> Port_name.t list option
 val self : t -> int
 (** This member's origin index. *)
 
-val member_count : t -> int
 val clock : t -> int
 val frontier : t -> int
 (** Largest clock delivered so far. *)

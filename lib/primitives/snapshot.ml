@@ -1,10 +1,7 @@
 open Dcp_wire
 module Runtime = Dcp_core.Runtime
-module Message = Dcp_core.Message
-module Store = Dcp_stable.Store
-module Metrics = Dcp_sim.Metrics
 module Clock = Dcp_sim.Clock
-module Table = Register.Table
+module Member = Register.Member
 
 let def_name = "scd_snapshot"
 
@@ -21,186 +18,31 @@ let port_type =
   ]
   @ Scd.signatures
 
-let write_payload ~key ~value = Value.tuple [ Value.str "w"; Value.str key; value ]
-let sync_payload = Value.tuple [ Value.str "s" ]
-
-(* ---- durable at-most-once request records (same discipline as Register) ---- *)
-
-let rid_key rid = Printf.sprintf "rid:%d" rid
-let inflight_marker = "?"
-
-let record_inflight ctx rid = Store.set (Runtime.store ctx) ~key:(rid_key rid) inflight_marker
-
-let record_reply ctx rid ~command args =
-  Store.set (Runtime.store ctx) ~key:(rid_key rid)
-    (Codec.encode_exn (Value.tuple [ Value.str command; Value.list args ]))
-
-let recorded_reply store rid =
-  match Store.get store ~key:(rid_key rid) with
-  | None -> None
-  | Some data when String.equal data inflight_marker -> Some None
-  | Some data -> (
-      match Codec.decode data with
-      | Ok (Value.Tuple [ Value.Str command; Value.Listv args ]) -> Some (Some (command, args))
-      | Ok _ | Error _ -> Some None)
-
-(* ---- member state ---- *)
-
-type action = Reply_updated | Reply_state
-
-type pending = { reply : Port_name.t; rid : int; action : action }
-
-type state = {
-  scd : Scd.t;
-  table : Table.t;
-  pending : (int, pending) Hashtbl.t;
-  malformed : Metrics.counter;
-}
-
-let send_reply ctx ~reply ~rid command args =
-  Runtime.send ctx ~to_:reply command (Value.int rid :: args)
-
 (* The atomic view: the whole table at this member's delivery point,
    key-sorted so identical states always encode identically. *)
-let state_value st =
+let state_value table =
   Value.list
     (List.map
        (fun (key, value, _) -> Value.tuple [ Value.str key; value ])
-       (Table.sorted_entries st.table))
+       (Register.Table.sorted_entries table))
 
-let resolve ctx st ~seq =
-  match Hashtbl.find_opt st.pending seq with
-  | None -> ()
-  | Some p ->
-      Hashtbl.remove st.pending seq;
-      let command, args =
-        match p.action with
-        | Reply_updated -> ("updated", [])
-        | Reply_state -> ("state", [ state_value st ])
-      in
-      record_reply ctx p.rid ~command args;
-      send_reply ctx ~reply:p.reply ~rid:p.rid command args
+let dispatch command args =
+  match (command, args) with
+  | "update", [ Value.Str key; value ] ->
+      Some (Member.Deferred (Member.write_payload ~key ~value, fun _ -> ("updated", [])))
+  | "snapshot", [] ->
+      Some (Member.Deferred (Member.sync_payload, fun table -> ("state", [ state_value table ])))
+  | _ -> None
 
-let apply_deliveries ctx st =
-  List.iter
-    (fun set ->
-      List.iter
-        (fun (d : Scd.delivery) ->
-          match d.Scd.payload with
-          | Value.Tuple [ Value.Str "w"; Value.Str key; value ] ->
-              Table.apply ctx st.table ~key ~value ~ts:d.Scd.ts
-          | _ -> ())
-        set;
-      List.iter
-        (fun (d : Scd.delivery) ->
-          if d.Scd.id.Scd.origin = Scd.self st.scd then resolve ctx st ~seq:d.Scd.id.Scd.seq)
-        set)
-    (Scd.drain st.scd)
-
-let handle_request ctx st ~reply ~rid command args =
-  match recorded_reply (Runtime.store ctx) rid with
-  | Some (Some (recorded, recorded_args)) -> send_reply ctx ~reply ~rid recorded recorded_args
-  | Some None -> ()
-  | None -> (
-      match (command, args) with
-      | "update", [ Value.Str key; value ] ->
-          record_inflight ctx rid;
-          let id = Scd.broadcast ctx st.scd (write_payload ~key ~value) in
-          Hashtbl.replace st.pending id.Scd.seq { reply; rid; action = Reply_updated }
-      | "snapshot", [] ->
-          record_inflight ctx rid;
-          let id = Scd.broadcast ctx st.scd sync_payload in
-          Hashtbl.replace st.pending id.Scd.seq { reply; rid; action = Reply_state }
-      | "members", _ -> send_reply ctx ~reply ~rid "members_ok" []
-      | _ -> Metrics.incr st.malformed)
-
-let serve ctx st =
-  let request_port = Runtime.port ctx 0 in
-  Scd.spawn_ticker ctx st.scd;
-  let rec loop () =
-    (match Runtime.receive ctx [ request_port ] with
-    | `Timeout -> ()
-    | `Msg (_, msg) -> (
-        match Scd.handle ctx st.scd msg with
-        | `Handled -> apply_deliveries ctx st
-        | `Unrelated -> (
-            match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
-            | "failure", _, _ -> ()
-            | command, Value.Int rid :: args, Some reply ->
-                handle_request ctx st ~reply ~rid command args;
-                apply_deliveries ctx st
-            | _ -> Metrics.incr st.malformed)));
-    loop ()
-  in
-  loop ()
-
-let make_state ctx ~scd ~table =
-  {
-    scd;
-    table;
-    pending = Hashtbl.create 16;
-    malformed =
-      Metrics.counter (Runtime.ctx_metrics ctx) Register.metric_malformed;
-  }
-
-let await_members ctx ~config =
-  let request_port = Runtime.port ctx 0 in
-  let rec wait () =
-    match Runtime.receive ctx [ request_port ] with
-    | `Timeout -> wait ()
-    | `Msg (_, msg) -> (
-        match (msg.Message.command, msg.Message.args, msg.Message.reply_to) with
-        | "members", [ Value.Int rid; members_arg ], Some reply -> (
-            match Scd.parse_members [ members_arg ] with
-            | Some members when members <> [] ->
-                let scd = Scd.create ctx ~config ~members () in
-                let st = make_state ctx ~scd ~table:(Table.restore (Runtime.store ctx)) in
-                send_reply ctx ~reply ~rid "members_ok" [];
-                serve ctx st
-            | Some _ | None -> wait ())
-        | _, Value.Int rid :: _, Some reply ->
-            send_reply ctx ~reply ~rid "not_ready" [];
-            wait ()
-        | _ -> wait ())
-  in
-  wait ()
-
-let recover ctx =
-  let store = Runtime.store ctx in
-  match Scd.recover ctx with
-  | Some scd -> serve ctx (make_state ctx ~scd ~table:(Table.restore store))
-  | None -> await_members ctx ~config:(Scd.config_in_store store)
-
-let def : Runtime.def =
-  {
-    Runtime.def_name;
-    provides = [ (port_type, 512) ];
-    init =
-      (fun ctx args ->
-        match args with
-        | [ Value.Int status_every; Value.Int resend_max ]
-          when status_every > 0 && resend_max > 0 ->
-            let config = { Scd.status_every; resend_max } in
-            Scd.persist_group_config ctx config;
-            await_members ctx ~config
-        | _ -> invalid_arg "snapshot: bad creation arguments");
-    recover = Some recover;
-  }
+let def =
+  Member.def ~def_name ~port_type
+    ~init:(fun _ -> function [] -> dispatch | _ -> invalid_arg "snapshot: bad creation arguments")
+    ~in_store:(fun _ -> dispatch)
 
 let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32) ~introduce_at
     () =
-  if nodes = [] then invalid_arg "Snapshot.create_group: need at least one node";
-  if Runtime.find_def world def_name = None then Runtime.register_def world def;
-  let args = [ Value.int status_every; Value.int resend_max ] in
-  let ports =
-    List.map
-      (fun at ->
-        let g = Runtime.create_guardian world ~at ~def_name ~args in
-        List.hd (Runtime.guardian_ports g))
-      nodes
-  in
-  Scd.introduce world ~group:def_name ~at:introduce_at ~members:ports;
-  ports
+  Member.create_group world def ~nodes ~introduce_at
+    ~args:[ Value.int status_every; Value.int resend_max ]
 
 let update ctx ~snapshot ~key ~value ~timeout =
   match

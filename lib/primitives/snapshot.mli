@@ -6,15 +6,16 @@
     [update k v] is the register write; [snapshot ()] broadcasts a sync
     marker and, once it is delivered, replies with the member's {e entire}
     table — an atomic point-in-time view, totally ordered against every
-    update by the delivery timestamp order.  Shares {!Register.Table} (and
-    its durable ["k:"] mirror, so the same convergence oracle applies) but
-    is its own guardian definition: a snapshot group serves no per-key
-    reads, which is what lets the linearizability checker treat register
-    histories per key while snapshot histories check whole-state.
-
-    The same durable at-most-once request discipline as {!Register}
-    applies; clients use single-attempt calls when a history is being
-    recorded. *)
+    update by the delivery timestamp order.  A second instance of the
+    {!Register.Member} core: it shares the member's {!Register.Table} (and
+    its durable ["k:"] mirror, so the same convergence oracle applies), the
+    durable at-most-once ["rid:"] request records and the
+    [register.malformed] counter, and supplies only its port type and the
+    [update]/[snapshot] dispatch.  It is its own guardian definition: a
+    snapshot group serves no per-key reads, which is what lets the
+    linearizability checker treat register histories per key while
+    snapshot histories check whole-state.  Clients use single-attempt calls
+    when a history is being recorded. *)
 
 open Dcp_wire
 module Runtime = Dcp_core.Runtime

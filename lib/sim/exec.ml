@@ -98,14 +98,6 @@ let with_pool ~shards f =
   let p = pool ~shards in
   Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
 
-(* ---- domain-local state ---- *)
-
-type 'a domain_local = 'a Domain.DLS.key
-
-let domain_local init = Domain.DLS.new_key init
-let local_get key = Domain.DLS.get key
-let local_set key v = Domain.DLS.set key v
-
 (* ---- shared counters ---- *)
 
 type counter = int Atomic.t

@@ -34,18 +34,6 @@ val shutdown : pool -> unit
 val with_pool : shards:int -> (pool -> 'a) -> 'a
 (** Spawn, run, and always shut down (no leaked domains). *)
 
-(** {1 Domain-local state}
-
-    For module-level mutable state that is logically per-execution-thread
-    (e.g. the current-process register of the effects scheduler): one value
-    per domain, so shards cannot observe each other's. *)
-
-type 'a domain_local
-
-val domain_local : (unit -> 'a) -> 'a domain_local
-val local_get : 'a domain_local -> 'a
-val local_set : 'a domain_local -> 'a -> unit
-
 (** {1 Shared counters}
 
     A monotonic counter safe to bump from any domain.  Use only for values

@@ -64,8 +64,6 @@ let summarize sample =
 
 let stddev sample = (summarize sample).stddev
 
-let pp_summary fmt s = Format.fprintf fmt "%.2f ± %.2f (n=%d)" s.mean s.ci95 s.n
-
 let of_trials ~trials f =
   if trials <= 0 then invalid_arg "Stat.of_trials: need at least one trial";
   summarize (List.init trials (fun seed -> f ~seed))

@@ -28,9 +28,6 @@ val quantile : float list -> float -> float
 val mean : float list -> float
 val stddev : float list -> float
 
-val pp_summary : Format.formatter -> summary -> unit
-(** ["mean ± ci95 (n=..)"]. *)
-
 val of_trials : trials:int -> (seed:int -> float) -> summary
 (** [of_trials ~trials f] runs [f ~seed] for seeds [0 .. trials-1] and
     summarises the results — the harness for "rerun the experiment k

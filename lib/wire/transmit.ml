@@ -55,8 +55,6 @@ let register reg ~type_name ~external_rep =
              "Transmit.register: %s already registered with external rep %s (got %s)" type_name
              (Vtype.to_string existing) (Vtype.to_string external_rep))
 
-let external_rep_of reg name = Hashtbl.find_opt reg name
-
 let rec check_named reg v =
   let all results = List.fold_left (fun acc r -> match acc with Error _ -> acc | Ok () -> r) (Ok ()) results in
   match v with

@@ -60,8 +60,6 @@ val register : registry -> type_name:string -> external_rep:Vtype.t -> unit
 (** @raise Invalid_argument if [type_name] is registered with a different
     external rep — the fixed meaning of a type cannot vary per node. *)
 
-val external_rep_of : registry -> string -> Vtype.t option
-
 val check_named : registry -> Value.t -> (unit, string) result
 (** Deep check: every [Named (n, rep)] inside the value must name a
     registered type and carry a rep matching its registered shape. *)

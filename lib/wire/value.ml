@@ -137,8 +137,6 @@ let get_int = function Int i -> i | v -> mismatch "int" v
 let get_real = function Real r -> r | v -> mismatch "real" v
 let get_str = function Str s -> s | v -> mismatch "string" v
 let get_list = function Listv l -> l | v -> mismatch "list" v
-let get_tuple = function Tuple l -> l | v -> mismatch "tuple" v
-let get_record = function Record fields -> fields | v -> mismatch "record" v
 let get_option = function Option o -> o | v -> mismatch "option" v
 let get_port = function Portv p -> p | v -> mismatch "port" v
 let get_token = function Tokenv tok -> tok | v -> mismatch "token" v

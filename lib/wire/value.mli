@@ -54,8 +54,6 @@ val get_int : t -> int
 val get_real : t -> float
 val get_str : t -> string
 val get_list : t -> t list
-val get_tuple : t -> t list
-val get_record : t -> (string * t) list
 val get_option : t -> t option
 val get_port : t -> Port_name.t
 val get_token : t -> Token.t

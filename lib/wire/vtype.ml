@@ -109,10 +109,6 @@ type port_type = signature list
 let failure_signature = signature "failure" [ Tstr ]
 let wildcard = signature "*" []
 
-let find_signature pt command =
-  if String.equal command failure_signature.command then Some failure_signature
-  else List.find_opt (fun s -> String.equal s.command command) pt
-
 (* A command may be overloaded (several signatures, e.g. the primordial
    guardian's plain and RPC-style pings): the message is accepted if any
    signature for its command matches. *)

@@ -57,8 +57,6 @@ val wildcard : signature
     layer's reply ports) whose vocabulary is not fixed at one declaration
     site. *)
 
-val find_signature : port_type -> string -> signature option
-
 val check_message : port_type -> command:string -> Value.t list -> (unit, string) result
 (** Check a (command, args) pair against a port type: the command must be
     declared and every argument must match. *)

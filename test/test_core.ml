@@ -78,18 +78,6 @@ let test_process_exception_recorded () =
   | Some (Failure reason) -> Alcotest.(check string) "reason" "boom" reason
   | _ -> Alcotest.fail "expected recorded failure"
 
-let test_process_self () =
-  let e = Engine.create () in
-  let name = ref "" in
-  ignore
-    (Process.spawn e ~name:"me" (fun () ->
-         match Process.self () with
-         | Some p -> name := Process.name p
-         | None -> ()));
-  Engine.run e;
-  Alcotest.(check string) "self visible" "me" !name;
-  Alcotest.(check (option string)) "no self outside" None (Option.map Process.name (Process.self ()))
-
 let test_process_double_resume_ignored () =
   let e = Engine.create () in
   let wakeups = ref 0 in
@@ -335,7 +323,6 @@ let tests =
     Alcotest.test_case "kill before start" `Quick test_process_kill_before_start;
     Alcotest.test_case "kill while blocked" `Quick test_process_kill_while_blocked;
     Alcotest.test_case "exception recorded" `Quick test_process_exception_recorded;
-    Alcotest.test_case "process self" `Quick test_process_self;
     Alcotest.test_case "double resume ignored" `Quick test_process_double_resume_ignored;
     Alcotest.test_case "port queueing" `Quick test_port_queueing;
     Alcotest.test_case "port capacity" `Quick test_port_capacity;
