@@ -757,10 +757,7 @@ let e8 () =
    is full only afterwards, stranding the passenger with half a trip.  The
    two-phase itinerary aborts cleanly and releases the hold. *)
 let e9_run ~atomic ~passengers =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world =
-    Runtime.create_world ~seed:109 ~topology:(Topology.full_mesh ~n:4 Link.perfect) ~config ()
-  in
+  let world = Runtime.create_world ~seed:109 ~topology:(Topology.full_mesh ~n:4 Link.perfect) () in
   let scarce = 10 in
   let f1 =
     Flight.create world ~at:0 ~flight:1 ~capacity:(2 * scarce) ~waitlist_capacity:0

@@ -100,8 +100,7 @@ let airline_cmd =
 let run_bank transfers crash_coordinator seed =
   let open Dcp_wire in
   let topology = Dcp_net.Topology.full_mesh ~n:4 Dcp_net.Link.lan in
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world = Runtime.create_world ~seed ~topology ~config () in
+  let world = Runtime.create_world ~seed ~topology () in
   let accounts prefix = List.init 4 (fun i -> (Printf.sprintf "%s%d" prefix i, 1000)) in
   let b0 = Dcp_bank.Branch.create world ~at:0 ~accounts:(accounts "a") () in
   let b1 = Dcp_bank.Branch.create world ~at:1 ~accounts:(accounts "b") () in

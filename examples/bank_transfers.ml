@@ -20,8 +20,7 @@ module Link = Dcp_net.Link
 
 let () =
   let topology = Topology.full_mesh ~n:4 Link.lan in
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world = Runtime.create_world ~seed:5 ~topology ~config () in
+  let world = Runtime.create_world ~seed:5 ~topology () in
 
   let accounts prefix =
     List.init 4 (fun i -> (Printf.sprintf "%s%d" prefix i, 1000))

@@ -23,12 +23,7 @@ module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let () =
-  let world =
-    Runtime.create_world ~seed:12
-      ~topology:(Topology.full_mesh ~n:3 Link.lan)
-      ~config:{ Runtime.default_config with crash_tear_p = 0.0 }
-      ()
-  in
+  let world = Runtime.create_world ~seed:12 ~topology:(Topology.full_mesh ~n:3 Link.lan) () in
   let directory = Directory.create world ~at:0 () in
   let printer = Printer.create world ~at:0 ~line_time:(Clock.ms 20) () in
   let ann_delivery, ann_owner = Mailbox.create world ~at:1 ~owner:"ann" () in

@@ -28,20 +28,6 @@
 
 open Dcp_wire
 
-val def_name : string
-val def : Dcp_core.Runtime.def
-
-val args :
-  regionals:Port_name.t list ->
-  ?request_timeout:Dcp_sim.Clock.time ->
-  ?idle_timeout:Dcp_sim.Clock.time ->
-  unit ->
-  Value.t list
-(** [regionals] is the front desk's routing directory: flight [f] belongs
-    to region [f mod List.length regionals].  [request_timeout] bounds each
-    regional RPC (Figure 5's expression [e]); [idle_timeout] ends abandoned
-    transactions. *)
-
 val create :
   Dcp_core.Runtime.world ->
   at:Dcp_core.Runtime.node_id ->

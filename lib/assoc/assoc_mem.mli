@@ -10,7 +10,9 @@
     sequence."
 
     Both representations are implemented here — a hash table and an AVL
-    tree — with one {!external_rep} shared system-wide.  {!transmit_hash}
+    tree — with one external representation (a list of (key, item)
+    tuples, the paper's "sequence of items with associated keys") shared
+    system-wide.  {!transmit_hash}
     and {!transmit_tree} are the per-node implementations of the same
     transmittable type. *)
 
@@ -43,11 +45,6 @@ val tree_is_balanced : t -> bool
 (** AVL invariant check for property tests; [true] for hash reps. *)
 
 (** {1 Transmission} *)
-
-val type_name : string
-val external_rep : Vtype.t
-(** A list of (key, item) tuples — the paper's "sequence of items with
-    associated keys". *)
 
 val transmit_hash : t Transmit.impl
 (** Node-A implementation: decodes into a hash table. *)

@@ -19,16 +19,15 @@ module Rng = Dcp_rng.Rng
 let chaos_rng seed = Rng.create ~seed:(seed lxor 0x2545F4914F6CDD1D)
 
 (* Shared world config: the checker injects damage through the profile's
-   disk axis, never through the legacy crash_tear_p knob (the two would
-   double-count tears).  Checkpointing is only enabled alongside the disk
-   injector — on perfect disks it would change store internals without
-   changing behaviour, perturbing nothing but costing time. *)
+   disk axis (the legacy crash_tear_p knob stays at its default, 0).
+   Checkpointing is only enabled alongside the disk injector — on perfect
+   disks it would change store internals without changing behaviour,
+   perturbing nothing but costing time. *)
 let checkpoint_every = 100
 
 let scenario_config (profile : Profile.t) =
   {
     Runtime.default_config with
-    crash_tear_p = 0.0;
     disk = profile.Profile.disk;
     checkpoint_every =
       (if Option.is_none profile.Profile.disk then None else Some checkpoint_every);
@@ -348,8 +347,9 @@ let run_replica ~replicas:n (params : Scenario.params) =
       for i = 1 to params.workload do
         let key = Printf.sprintf "key%04d" i in
         let replica = ports.(Rng.int rng n) in
-        (* Pinned request ids: generated ones come from a process-global
-           counter and would break run-to-run fingerprint determinism. *)
+        (* Pinned request ids, outside the world mint's range.  Minted ids
+           would be as deterministic, but smaller varints, and the pinned
+           replica fingerprints were taken with these bytes. *)
         (match
            Rpc.call ctx ~to_:replica ~timeout:(Clock.ms 500) ~attempts:3
              ~request_id:(4_000_000_000 + i) "write"

@@ -16,8 +16,6 @@ type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
    bytes), so a cross-domain counter is safe here. *)
 let next_pid = Dcp_sim.Exec.counter 0
 
-let pid t = t.pid
-let name t = t.name
 let state t = t.state
 let alive t = match t.state with Created | Running | Blocked -> true | Finished | Dead -> false
 let failure t = t.failure
@@ -78,5 +76,3 @@ let suspend register = Effect.perform (Suspend register)
 
 let sleep engine d =
   suspend (fun resume -> ignore (Engine.schedule_after engine ~delay:d (fun () -> resume ())))
-
-let yield engine = sleep engine 0

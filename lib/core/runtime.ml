@@ -14,10 +14,7 @@ type node_id = int
 
 type config = {
   codec : Codec.config;
-  mtu : int;
-  local_delay : Clock.time;
   crash_tear_p : float;
-  default_port_capacity : int;
   processors_per_node : int;
   disk : Disk.spec option;
   checkpoint_every : int option;
@@ -26,14 +23,17 @@ type config = {
 let default_config =
   {
     codec = Codec.default_config;
-    mtu = 1024;
-    local_delay = Clock.us 5;
-    crash_tear_p = 0.3;
-    default_port_capacity = 64;
+    crash_tear_p = 0.0;
     processors_per_node = 8;
     disk = None;
     checkpoint_every = None;
   }
+
+(* World constants nobody has needed to vary. *)
+let mtu = 1024
+let local_delay = Clock.us 5  (* intra-node message latency *)
+let default_port_capacity = 64
+let epoch = Clock.ms 1  (* cross-shard exchange window (barrier spacing) *)
 
 (* Metric handles resolved once at world creation so the per-message path
    (send -> route -> deliver) never does a string-keyed registry lookup. *)
@@ -87,7 +87,6 @@ type world = {
   config : config;
   registry : Transmit.registry;
   shard_count : int;
-  epoch : Clock.time;  (** cross-shard exchange window (barrier spacing) *)
   parallel : bool;  (** run epochs on [shard_count] domains *)
   shards : shard array;
   nodes : (node_id, node) Hashtbl.t;
@@ -247,7 +246,6 @@ let ctx_now c = Engine.now (ctx_shard c).sengine
 let ctx_engine c = (ctx_shard c).sengine
 let ctx_metrics c = (ctx_shard c).smetrics
 let ctx_rng c = (ctx_shard c).sworkload_rng
-let ctx_shards c = c.cworld.shard_count
 
 let ctx_mint_id c =
   let sh = ctx_shard c in
@@ -338,7 +336,7 @@ let route w ~from ~target msg =
       if target.Port_name.node = from.node_id then begin
         Metrics.incr sh.shot.m_send_local;
         ignore
-          (Engine.schedule_after sh.sengine ~delay:w.config.local_delay (fun () ->
+          (Engine.schedule_after sh.sengine ~delay:local_delay (fun () ->
                deliver_body w sh target.Port_name.node body))
       end
       else begin
@@ -370,13 +368,8 @@ let install_forwarders w node =
             out := (Engine.now src_shard.sengine, node.node_id, body) :: !out))
     w.shards
 
-let default_epoch = Clock.ms 1
-
-let create_world ~seed ~topology ?(config = default_config) ?(shards = 1)
-    ?(epoch = default_epoch) ?(parallel = false) () =
+let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(parallel = false) () =
   if shards < 1 then invalid_arg "Runtime.create_world: shards must be positive";
-  if Clock.compare epoch Clock.zero <= 0 then
-    invalid_arg "Runtime.create_world: epoch must be positive";
   let root = Rng.create ~seed in
   let hot_of metrics =
     {
@@ -402,7 +395,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1)
     let sys_rng = Rng.split root in
     let workload_rng = Rng.split root in
     let sengine = Engine.create () in
-    let snetwork = Network.create ~engine:sengine ~rng:net_rng ~topology ~mtu:config.mtu () in
+    let snetwork = Network.create ~engine:sengine ~rng:net_rng ~topology ~mtu () in
     let smetrics = Metrics.registry () in
     {
       shard_id = sid;
@@ -430,7 +423,6 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1)
       config;
       registry = Transmit.registry ();
       shard_count = shards;
-      epoch;
       parallel;
       shards = make_shards 0 [];
       nodes = Hashtbl.create 16;
@@ -522,8 +514,8 @@ let any_pending w = Array.exists (fun s -> Engine.pending s.sengine > 0) w.shard
    to reach [t]. *)
 let next_barrier w t =
   let gap = Clock.diff t w.barrier in
-  let steps = Int.max 1 ((gap + w.epoch - 1) / w.epoch) in
-  Clock.add w.barrier (steps * w.epoch)
+  let steps = Int.max 1 ((gap + epoch - 1) / epoch) in
+  Clock.add w.barrier (steps * epoch)
 
 let run_for w d =
   if w.shard_count = 1 then Engine.run_for (shard0 w).sengine d
@@ -810,7 +802,7 @@ let port c index =
 let new_port c ?capacity ptype =
   let w = c.cworld in
   let g = c.cguardian in
-  let capacity = Option.value capacity ~default:w.config.default_port_capacity in
+  let capacity = Option.value capacity ~default:default_port_capacity in
   let index = g.next_port_index in
   g.next_port_index <- index + 1;
   let p = fresh_port w g.home ~gid:g.gid ~index ~ptype ~capacity in

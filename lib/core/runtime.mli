@@ -60,10 +60,10 @@ type def = {
 
 type config = {
   codec : Codec.config;
-  mtu : int;
-  local_delay : Clock.time;  (** intra-node message latency *)
-  crash_tear_p : float;  (** probability a crash tears the last WAL record *)
-  default_port_capacity : int;
+  crash_tear_p : float;
+      (** probability a crash tears the last WAL record, flushed or not
+          (default [0.0]; the [disk] injector models torn in-flight
+          records without touching flushed ones) *)
   processors_per_node : int;
       (** §1.1: "each node consists of one or more processors" — the units
           {!compute} contends for (default 8) *)
@@ -88,15 +88,14 @@ val create_world :
   topology:Dcp_net.Topology.t ->
   ?config:config ->
   ?shards:int ->
-  ?epoch:Clock.time ->
   ?parallel:bool ->
   unit ->
   world
-(** [shards] (default 1) partitions the world; [epoch] (default 1ms) is the
-    barrier spacing for cross-shard exchange; [parallel] (default false)
-    runs each epoch on [shards] domains.  The trace is identical for a
-    fixed (seed, shards) regardless of [parallel].
-    @raise Invalid_argument if [shards < 1] or [epoch <= 0]. *)
+(** [shards] (default 1) partitions the world, exchanging cross-shard
+    messages at 1ms epoch barriers; [parallel] (default false) runs each
+    epoch on [shards] domains.  The trace is identical for a fixed
+    (seed, shards) regardless of [parallel].
+    @raise Invalid_argument if [shards < 1]. *)
 
 val engine : world -> Dcp_sim.Engine.t
 (** Shard 0's engine.  With [shards = 1] (the default) this is the world's
@@ -208,10 +207,6 @@ val ctx_metrics : ctx -> Dcp_sim.Metrics.registry
 val ctx_rng : ctx -> Dcp_rng.Rng.t
 (** This guardian's shard's workload stream.  Equals {!world_rng} when
     [shards = 1]. *)
-
-val ctx_shards : ctx -> int
-(** [shard_count (ctx_world c)], for primitives that keep a legacy global
-    id scheme at [1] and a sharded one above. *)
 
 val ctx_mint_id : ctx -> int
 (** A fresh id unique across the world and deterministic per

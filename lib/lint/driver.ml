@@ -8,6 +8,7 @@ type outcome = {
 }
 
 let default_dirs = [ "lib"; "bin"; "examples" ]
+let reference_dirs = [ "bench"; "test"; "perfbench" ]
 
 let run ?(dirs = default_dirs) ~root ~baseline_path () =
   let layers = Layers.load ~root in

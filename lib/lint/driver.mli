@@ -12,6 +12,10 @@ type outcome = {
 val default_dirs : string list
 (** [lib], [bin], [examples]. *)
 
+val reference_dirs : string list
+(** [bench], [test], [perfbench]: never linted, but the proto tier reads
+    their value references so a use there keeps an export alive. *)
+
 val run : ?dirs:string list -> root:string -> baseline_path:string -> unit -> outcome
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -64,6 +64,7 @@ let rules =
     ("proto-unreachable-handler", Protocol);
     ("proto-reply-obligation", Protocol);
     ("proto-escape", Transmittability);
+    ("unused-export", Hygiene);
   ]
 
 (* One paragraph per rule, printed by [dcp_lint --explain <rule>]. *)
@@ -145,6 +146,16 @@ let explanations =
        sees literal constructors in the argument expression; this one uses \
        function summaries, so laundering the allocation through a helper no \
        longer hides it." );
+    ( "unused-export",
+      "A val in a lib/ interface (nested module signatures included, module \
+       type bodies not) that no other unit names.  A use is M.v with M \
+       resolved by its last module component, or a bare v under open M / \
+       M.( ... ); uses inside the value's own unit do not count.  Uses are \
+       read from lib/, bin/ and examples/ and also from bench/, test/ and \
+       perfbench/, which are never linted.  A value only test/ names is not \
+       a finding; the proto report counts those per library.  An API with \
+       no caller is deleted, never baselined: a false positive is fixed in \
+       the resolver." );
   ]
 
 let explain rule = List.assoc_opt rule explanations

@@ -20,8 +20,21 @@ type outcome = {
 
 let is_warning f = List.exists (String.equal f.Finding.rule) warning_rules
 
+(* [pairs] mixes implementations, interfaces (whose [val]s are the
+   exports) and reference-only units under {!Driver.reference_dirs}, which
+   count only as users of exports. *)
 let analyze ~root ~units:pairs ~baseline =
-  let units = List.map (fun (path, source) -> Proto_extract.load ~path ~source) pairs in
+  let mlis, mls = List.partition (fun (path, _) -> Filename.check_suffix path ".mli") pairs in
+  let everything = List.map (fun (path, source) -> Proto_extract.load ~path ~source) mls in
+  let linted u =
+    not
+      (List.exists
+         (fun d -> String.equal d (List.hd (String.split_on_char '/' u.Proto_extract.u_path)))
+         Driver.reference_dirs)
+  in
+  let units = List.filter linted everything in
+  let exports = List.concat_map (fun (path, source) -> Proto_extract.exports ~path ~source) mlis in
+  let unused, test_only = Proto_summary.unused_exports exports everything in
   let env = Proto_summary.build units in
   let resolved = List.map (fun u -> (u, Proto_summary.collect_sends env u)) units in
   let per_unit =
@@ -31,14 +44,16 @@ let analyze ~root ~units:pairs ~baseline =
   let handled = Proto_flow.handled_names units in
   let sent = Proto_flow.sent_names per_unit in
   let obligated = Proto_reply.obligated_names units in
-  let findings =
-    List.sort Finding.order
-      (Proto_flow.dead_letters ~handled per_unit
-      @ Proto_flow.unreachable ~sent units
-      @ List.concat_map (Proto_reply.check env ~obligated) units
-      @ escapes)
+  let baselinable =
+    Proto_flow.dead_letters ~handled per_unit
+    @ Proto_flow.unreachable ~sent units
+    @ List.concat_map (Proto_reply.check env ~obligated) units
+    @ escapes
   in
-  Baseline.apply baseline findings;
+  (* An unused export is deleted, never grandfathered: a baseline entry
+     for one matches nothing and so fails the build as stale. *)
+  Baseline.apply baseline baselinable;
+  let findings = List.sort Finding.order (baselinable @ unused) in
   let stale_baseline = Baseline.stale baseline in
   let unbaselined = List.filter (fun f -> not f.Finding.baselined) findings in
   let active = List.filter (fun f -> not (is_warning f)) unbaselined in
@@ -47,6 +62,7 @@ let analyze ~root ~units:pairs ~baseline =
   let call_graph = Proto_summary.call_edges env in
   let report =
     Proto_report.build ~root ~units:per_unit ~flow:edges ~call_graph ~findings ~stale_baseline
+      ~test_only
   in
   {
     findings;
@@ -60,7 +76,11 @@ let analyze ~root ~units:pairs ~baseline =
   }
 
 let run ?(dirs = Driver.default_dirs) ~root ~baseline_path () =
-  let srcs = Discover.ml_files ~root ~dirs in
+  let srcs =
+    Discover.ml_files ~root ~dirs
+    @ Discover.mli_files ~root ~dirs
+    @ Discover.ml_files ~root ~dirs:Driver.reference_dirs
+  in
   let pairs =
     List.map
       (fun s ->

@@ -23,8 +23,6 @@ let known l = Known (SSet.of_list l)
 let nunion a b =
   match (a, b) with Dynamic, _ | _, Dynamic -> Dynamic | Known a, Known b -> Known (SSet.union a b)
 
-let nmem name = function Known s -> SSet.mem name s | Dynamic -> false
-
 (* ---- longident / callee helpers ---- *)
 
 let last2 comps =
@@ -196,6 +194,92 @@ let match_positions ?(reply_vars = SSet.empty) scrut =
   let ri = index_of (is_reply_source ~vars:reply_vars) comps in
   (comps, ci, ri)
 
+let module_of_path path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* ---- value references and exports (the unused-export rule) ---- *)
+
+(* Every value reference of a structure as ["M.v"], with [M] reduced to
+   its last module component (after local module aliases) the way sends
+   are resolved; a bare [v] under [open M] / [M.( ... )] counts as
+   ["M.v"] for every module open at that point. *)
+let uses str =
+  let acc = ref [] in
+  let opens = ref [] in
+  let aliases = Hashtbl.create 8 in
+  let target lid =
+    match Longident.flatten lid with
+    | [ m ] -> Option.value (Hashtbl.find_opt aliases m) ~default:m
+    | comps -> snd (last2 comps)
+  in
+  let add m name = acc := (m ^ "." ^ name) :: !acc in
+  let alias name me =
+    match (name, me.pmod_desc) with
+    | Some x, Pmod_ident lid -> Hashtbl.replace aliases x (target lid.txt)
+    | _ -> ()
+  in
+  let super = Ast_iterator.default_iterator in
+  let scoped f =
+    let saved = !opens in
+    f ();
+    opens := saved
+  in
+  let expr self e =
+    match e.pexp_desc with
+    | Pexp_ident { txt = Longident.Ldot (m, name); _ } -> add (target m) name
+    | Pexp_ident { txt = Longident.Lident name; _ } -> List.iter (fun m -> add m name) !opens
+    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, body) ->
+        scoped (fun () ->
+            opens := target lid.txt :: !opens;
+            self.Ast_iterator.expr self body)
+    | Pexp_letmodule ({ txt; _ }, me, _) ->
+        alias txt me;
+        super.expr self e
+    | _ -> super.expr self e
+  in
+  let structure self items =
+    scoped (fun () -> List.iter (self.Ast_iterator.structure_item self) items)
+  in
+  let structure_item self item =
+    (match item.pstr_desc with
+    | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ } ->
+        opens := target lid.txt :: !opens
+    | Pstr_module { pmb_name = { txt; _ }; pmb_expr; _ } -> alias txt pmb_expr
+    | _ -> ());
+    super.structure_item self item
+  in
+  let it = { super with expr; structure; structure_item } in
+  it.structure it str;
+  !acc
+
+(* Every [val] of an interface, nested [module X : sig ... end] included
+   under its qualified path; [module type] bodies are skipped. *)
+type export = {
+  ex_path : string;  (** the [.mli] *)
+  ex_qual : string list;  (** e.g. [["Register"; "Table"]] *)
+  ex_name : string;
+  ex_line : int;
+}
+
+let exports ~path ~source =
+  let rec items qual sg =
+    List.concat_map
+      (fun item ->
+        match item.psig_desc with
+        | Psig_value vd ->
+            let line = line_of item.psig_loc in
+            [ { ex_path = path; ex_qual = qual; ex_name = vd.pval_name.txt; ex_line = line } ]
+        | Psig_module
+            { pmd_name = { txt = Some m; _ }; pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ }
+          ->
+            items (qual @ [ m ]) sg
+        | _ -> [])
+      sg
+  in
+  let lexbuf = Lexing.from_string source in
+  Location.init lexbuf path;
+  match Parse.interface lexbuf with sg -> items [ module_of_path path ] sg | exception _ -> []
+
 (* ---- the per-unit record ---- *)
 
 type unit_info = {
@@ -206,10 +290,8 @@ type unit_info = {
   u_structure : structure option;  (** [None] when the unit fails to parse *)
   u_fns : fn list;
   u_handles : handle list;
+  u_uses : string list;
 }
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
 let id_of_path path =
   let base = Filename.remove_extension (Filename.basename path) in
@@ -366,4 +448,5 @@ let load ~path ~source =
     u_structure = structure;
     u_fns = fns;
     u_handles = handles;
+    u_uses = (match structure with Some s -> uses s | None -> []);
   }

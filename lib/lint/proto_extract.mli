@@ -13,13 +13,11 @@ type names = Known of SSet.t | Dynamic
 
 val known : string list -> names
 val nunion : names -> names -> names
-val nmem : string -> names -> bool
 
 (** {1 Syntax helpers shared by the later passes} *)
 
 val last2 : string list -> string * string
 val lid_last : Longident.t -> string
-val callee_lid : Parsetree.expression -> Longident.t option
 val callee_pair : Parsetree.expression -> (string * string) option
 val pair_string : string * string -> string
 val line_of : Location.t -> int
@@ -30,7 +28,6 @@ val alternatives : Parsetree.pattern -> Parsetree.pattern list
 val pat_constants : Parsetree.pattern -> string list
 val binding_name : Parsetree.pattern -> string option
 val sub_at : Parsetree.pattern -> idx:int -> ncomps:int -> Parsetree.pattern option
-val is_command_expr : Parsetree.expression -> bool
 val is_reply_source : vars:SSet.t -> Parsetree.expression -> bool
 
 val match_positions :
@@ -73,6 +70,19 @@ type handle = {
   h_obligated : bool;  (** declared with a non-empty reply set *)
 }
 
+(** {1 Exports} *)
+
+type export = {
+  ex_path : string;  (** the [.mli] *)
+  ex_qual : string list;  (** e.g. [["Register"; "Table"]] *)
+  ex_name : string;
+  ex_line : int;
+}
+
+val exports : path:string -> source:string -> export list
+(** Every [val] of an interface, nested module signatures included;
+    [module type] bodies are skipped.  Empty when the file fails to parse. *)
+
 (** {1 The per-unit record} *)
 
 type unit_info = {
@@ -83,8 +93,11 @@ type unit_info = {
   u_structure : Parsetree.structure option;  (** [None] when the unit fails to parse *)
   u_fns : fn list;
   u_handles : handle list;
+  u_uses : string list;
+      (** value references as ["M.v"], [M] reduced to its last module
+          component (after local aliases); a bare [v] under an open [M]
+          counts as ["M.v"].  For [unused-export]. *)
 }
 
-val module_of_path : string -> string
-val id_of_path : string -> string
+val lib_of_path : string -> string option
 val load : path:string -> source:string -> unit_info

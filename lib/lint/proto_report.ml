@@ -97,7 +97,7 @@ let of_call_graph edges =
            ])
        groups)
 
-let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
+let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline ~test_only =
   let active = List.filter (fun f -> not f.Finding.baselined) findings in
   let count p = List.length (List.filter p findings) in
   let by_rule =
@@ -112,6 +112,7 @@ let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
                  "proto-unreachable-handler";
                  "proto-reply-obligation";
                  "proto-escape";
+                 "unused-export";
                ])
         then None
         else
@@ -149,5 +150,7 @@ let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
             ("stale_baseline", Num (float_of_int (List.length stale_baseline)));
             ("flow_edges", Num (float_of_int (List.length flow)));
             ("rules", Obj by_rule);
+            ( "test_only_exports",
+              Obj (List.map (fun (lib, n) -> (lib, Num (float_of_int n))) test_only) );
           ] );
     ]

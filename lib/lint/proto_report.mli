@@ -12,6 +12,8 @@ val build :
   call_graph:(string option * string * string) list ->
   findings:Finding.t list ->
   stale_baseline:string list ->
+  test_only:(string * int) list ->
   Report.json
 (** Assemble the proto report.  [findings] should already be sorted and
-    baseline-marked. *)
+    baseline-marked; [test_only] counts, per library, the exports only
+    test/ names. *)

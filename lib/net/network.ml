@@ -70,7 +70,6 @@ let create ~engine ~rng ~topology ?(mtu = 1024) ?(queueing = false) () =
     tallies = fresh_tallies ();
   }
 
-let engine t = t.engine
 let topology t = t.topology
 let set_handler t node f = Hashtbl.replace t.handlers node f
 let clear_handler t node = Hashtbl.remove t.handlers node

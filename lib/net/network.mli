@@ -41,7 +41,6 @@ val create :
     seeing the full bandwidth — transmission delays then include queueing
     behind earlier fragments. *)
 
-val engine : t -> Dcp_sim.Engine.t
 val topology : t -> Topology.t
 
 val set_handler : t -> node_id -> (src:node_id -> string -> unit) -> unit

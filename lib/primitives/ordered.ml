@@ -4,17 +4,6 @@ module Message = Dcp_core.Message
 module Port = Dcp_core.Port
 module Clock = Dcp_sim.Clock
 
-(* Channel ids are stamped into every data packet, so the sharded mint
-   rule applies (see Rpc.fresh_id). *)
-let next_channel = ref 0
-
-let fresh_channel ctx =
-  if Runtime.ctx_shards ctx = 1 then begin
-    incr next_channel;
-    !next_channel
-  end
-  else Runtime.ctx_mint_id ctx
-
 let data_signature = Vtype.signature "odata" [ Vtype.Tint; Vtype.Tint; Vtype.Tany ]
 
 (* ------------------------------------------------------------------ *)
@@ -26,7 +15,6 @@ type receiver = {
   rport : Port.t;
   buffer : (int, Value.t) Hashtbl.t;  (** seq -> payload, seq >= expected *)
   mutable expected : int;
-  mutable delivered : int;
 }
 
 let receiver ctx ?(capacity = 64) () =
@@ -35,7 +23,6 @@ let receiver ctx ?(capacity = 64) () =
     rport = Runtime.new_port ctx ~capacity [ data_signature ];
     buffer = Hashtbl.create 32;
     expected = 0;
-    delivered = 0;
   }
 
 let receiver_port r = Port.name r.rport
@@ -59,7 +46,6 @@ let rec recv r ?timeout () =
   | Some payload ->
       Hashtbl.remove r.buffer r.expected;
       r.expected <- r.expected + 1;
-      r.delivered <- r.delivered + 1;
       Some payload
   | None -> (
       let started = Runtime.ctx_now r.rctx in
@@ -73,8 +59,6 @@ let rec recv r ?timeout () =
               timeout
           in
           recv r ?timeout ())
-
-let received_count r = r.delivered
 
 (* ------------------------------------------------------------------ *)
 (* Sender                                                               *)
@@ -134,7 +118,7 @@ let connect ctx ~to_ ?(window = 16) ?(retransmit_every = Clock.ms 100) () =
   let s =
     {
       sctx = ctx;
-      channel = fresh_channel ctx;
+      channel = Runtime.ctx_mint_id ctx;
       dest = to_;
       ack_port = Runtime.new_port ctx ~capacity:256 [ Vtype.wildcard ];
       window;

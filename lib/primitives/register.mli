@@ -43,7 +43,6 @@ module Clock = Dcp_sim.Clock
 val def_name : string
 (** ["scd_register"] *)
 
-val port_type : Vtype.port_type
 val metric_malformed : string
 
 (** The shared LWW table core, reused by {!Snapshot}: a volatile
@@ -51,14 +50,6 @@ val metric_malformed : string
     ["k:"] keys. *)
 module Table : sig
   type t
-
-  val restore : Dcp_stable.Store.t -> t
-  (** Rebuild from the store's ["k:"] entries (empty on a fresh store). *)
-
-  val apply : Runtime.ctx -> t -> key:string -> value:Value.t -> ts:Scd.ts -> unit
-  (** Last-writer-wins by {!Scd.ts_compare}; persists winners. *)
-
-  val get : t -> string -> (Value.t * Scd.ts) option
 
   val sorted_entries : t -> (string * Value.t * Scd.ts) list
   (** Key-sorted, for deterministic snapshot replies. *)

@@ -44,7 +44,6 @@ open Dcp_wire
 
 val def_name : string
 val port_type : Vtype.port_type
-val def : Dcp_core.Runtime.def
 
 val create_group :
   Dcp_core.Runtime.world ->
@@ -102,5 +101,3 @@ val metric_sync_msgs : string
 val metric_sync_bytes : string
 val metric_over_budget : string
 val metric_max_bytes : string
-val metric_pulls : string
-val metric_pushes : string

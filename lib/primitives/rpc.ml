@@ -15,25 +15,16 @@ type response =
   | Failure_msg of string
   | Timeout
 
-(* Request ids only need to be unique per client guardian; a module-global
-   counter keeps them unique across the whole world, which also makes
-   traces easier to read.  Ids travel inside message bytes, so in a
-   sharded world they must come from the per-shard deterministic mint
-   (a counter shared across shards would make the bytes depend on
-   cross-shard interleaving); one shard keeps the legacy stream. *)
-let next_request_id = ref 0
-
-let fresh_id ctx =
-  if Runtime.ctx_shards ctx = 1 then begin
-    let id = !next_request_id in
-    incr next_request_id;
-    id
-  end
-  else Runtime.ctx_mint_id ctx
-
+(* Request ids only need to be unique per client guardian; the world's
+   mint makes them unique across the world, which also makes traces easier
+   to read.  Ids travel inside message bytes as varints, so their size is
+   on the wire too: minting them from the world, deterministically per
+   shard, makes a run's bytes and timing a function of its own
+   (seed, shards) alone — not of earlier worlds in the same process, nor
+   of cross-shard interleaving. *)
 let call ctx ~to_ ?(timeout = Clock.s 1) ?(attempts = 1) ?request_id command args =
   if attempts <= 0 then invalid_arg "Rpc.call: attempts must be positive";
-  let id = match request_id with Some id -> id | None -> fresh_id ctx in
+  let id = match request_id with Some id -> id | None -> Runtime.ctx_mint_id ctx in
   (* Replies arrive as arbitrary commands prefixed with the request id, so
      the reply port is a wildcard port; the id match below provides the
      pairing the port type cannot. *)

@@ -44,8 +44,6 @@ type config = {
   resend_max : int;  (** max own messages resent per received status *)
 }
 
-val default_config : config
-
 type msg_id = { origin : int; seq : int }
 (** Identity of a broadcast: the member index that minted it and its
     per-origin sequence number (1-based, contiguous). *)
@@ -89,13 +87,10 @@ val drain : t -> delivery list list
     sorted by {!ts}.  Sets are never re-delivered (the frontier is durable),
     so the caller must apply them to durable state before yielding. *)
 
-val tick : Runtime.ctx -> t -> unit
-(** Send one status round to every other member.  Usually driven by
-    {!spawn_ticker}; exposed for deterministic unit tests. *)
-
 val spawn_ticker : Runtime.ctx -> t -> unit
-(** Periodic {!tick} every [config.status_every], phase-staggered
-    deterministically from the world RNG split. *)
+(** Send one status round to every other member every
+    [config.status_every], phase-staggered deterministically from the world
+    RNG split. *)
 
 val introduce :
   Runtime.world -> group:string -> at:Runtime.node_id -> members:Port_name.t list -> unit
@@ -113,7 +108,8 @@ val persist_group_config : Runtime.ctx -> config -> unit
     crashes pre-join comes back with the configured cadence. *)
 
 val config_in_store : Dcp_stable.Store.t -> config
-(** The persisted config, or {!default_config} when absent/garbled. *)
+(** The persisted config, or the default (status every 100 ms, 32 resends)
+    when absent/garbled. *)
 
 val parse_members : Value.t list -> Port_name.t list option
 (** Strict parse of the ["members"] request's port-list argument. *)
@@ -123,13 +119,6 @@ val parse_members : Value.t list -> Port_name.t list option
 val self : t -> int
 (** This member's origin index. *)
 
-val clock : t -> int
-val frontier : t -> int
-(** Largest clock delivered so far. *)
-
 val metric_msgs : string
-val metric_statuses : string
-val metric_resends : string
 val metric_malformed : string
 val metric_sets : string
-val metric_set_msgs : string

@@ -24,8 +24,6 @@ module Clock = Dcp_sim.Clock
 val def_name : string
 (** ["scd_snapshot"] *)
 
-val port_type : Vtype.port_type
-
 val create_group :
   Runtime.world ->
   nodes:Runtime.node_id list ->

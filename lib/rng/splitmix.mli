@@ -9,9 +9,6 @@
 
 type t
 
-val create : int64 -> t
-(** [create seed] is a fresh generator seeded with [seed]. *)
-
 val of_int : int -> t
 (** [of_int seed] is [create (Int64.of_int seed)]. *)
 

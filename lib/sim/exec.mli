@@ -18,18 +18,11 @@ type pool
 (** [shards - 1] worker domains plus the calling domain, which runs
     shard 0. *)
 
-val pool : shards:int -> pool
-(** Spawn the worker domains.  [shards = 1] spawns nothing and {!round}
-    degenerates to a direct call. *)
-
 val round : pool -> (int -> unit) -> unit
 (** [round p work] runs [work i] for every shard [i] in [0, shards)] —
     concurrently on the pool's domains ([work 0] on the caller) — and
     returns once all have finished.  [work] must touch only shard-[i]
     state. *)
-
-val shutdown : pool -> unit
-(** Park-free exit: wakes every worker and joins its domain.  Idempotent. *)
 
 val with_pool : shards:int -> (pool -> 'a) -> 'a
 (** Spawn, run, and always shut down (no leaked domains). *)

@@ -88,12 +88,6 @@ let pop_exn h =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)
-
 let of_list ~cmp l =
   let h = create ~cmp in
   List.iter (push h) l;

@@ -25,11 +25,6 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order (heap order, not sorted). *)
-
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 
 val check_invariant : 'a t -> bool

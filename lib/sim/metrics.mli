@@ -57,7 +57,6 @@ val merge : registry list -> registry
 (** {1 Reporting} *)
 
 val counters : registry -> (string * int) list
-val gauges : registry -> (string * float) list
 val histograms : registry -> (string * histogram) list
 
 val pp_report : Format.formatter -> registry -> unit

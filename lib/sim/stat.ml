@@ -62,8 +62,6 @@ let summarize sample =
     median = quantile sample 0.5;
   }
 
-let stddev sample = (summarize sample).stddev
-
 let of_trials ~trials f =
   if trials <= 0 then invalid_arg "Stat.of_trials: need at least one trial";
   summarize (List.init trials (fun seed -> f ~seed))

@@ -25,9 +25,6 @@ val quantile : float list -> float -> float
 (** Linear-interpolation quantile of a sample, [q] in [0, 1].
     @raise Invalid_argument on an empty sample. *)
 
-val mean : float list -> float
-val stddev : float list -> float
-
 val of_trials : trials:int -> (seed:int -> float) -> summary
 (** [of_trials ~trials f] runs [f ~seed] for seeds [0 .. trials-1] and
     summarises the results — the harness for "rerun the experiment k

@@ -223,7 +223,6 @@ and decode_seq config r =
 type encoder = { enc_config : config; scratch : Buffer.t }
 
 let encoder ?(config = default_config) () = { enc_config = config; scratch = Buffer.create 256 }
-let encoder_config enc = enc.enc_config
 
 let encode_with enc v =
   let buf = enc.scratch in

@@ -22,7 +22,6 @@ type t =
   | Named of string * t  (** external rep of abstract type [name] *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -15,8 +15,7 @@ module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
 let make_world ?(n = 2) () =
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  Runtime.create_world ~seed:21 ~topology:(Topology.full_mesh ~n Link.perfect) ~config ()
+  Runtime.create_world ~seed:21 ~topology:(Topology.full_mesh ~n Link.perfect) ()
 
 let fresh_driver_name =
   let i = ref 0 in

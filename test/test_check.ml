@@ -101,6 +101,20 @@ let test_replica_fingerprint_deterministic () =
   Alcotest.(check bool) "convergence was measured" true
     (Check.Scenario.stat a "convergence_ms" >= 0)
 
+(* Rpc, Ordered and Two_phase ids come from each world's mint, so a run is
+   pure across a process (DESIGN §8): after 30 other airline worlds, the
+   seed-1 wan+crash run still prints the fingerprint `dcp_check run`
+   prints in a fresh process.  With a process-global id counter, the ids
+   earlier worlds spent widened this run's varints and moved its timing. *)
+let test_airline_pure_across_process () =
+  let wan_crash = profile "wan+crash" in
+  for seed = 2 to 31 do
+    ignore (Check.Scenario.execute Check.Scenarios.airline ~seed ~profile:wan_crash ())
+  done;
+  let outcome = Check.Scenario.execute Check.Scenarios.airline ~seed:1 ~profile:wan_crash () in
+  Alcotest.(check string) "fresh-process fingerprint"
+    "ev=9692 sent=270 lost=2 ok=981 failed=3 tx=239" outcome.Check.Scenario.fingerprint
+
 let tests =
   [
     Alcotest.test_case "mutated model is detected" `Quick test_mutation_detected;
@@ -111,4 +125,6 @@ let tests =
       test_outcome_fingerprint_deterministic;
     Alcotest.test_case "replica fingerprint is deterministic" `Slow
       test_replica_fingerprint_deterministic;
+    Alcotest.test_case "airline run is pure across a process" `Quick
+      test_airline_pure_across_process;
   ]

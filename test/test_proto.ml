@@ -1,8 +1,7 @@
 (* The whole-program proto tier: each fixture trips exactly its rule, the
    clean fixture is silent, the proto report round-trips through its
-   reader (both the in-memory document and the committed
-   PROTO_report.json), and the real tree is clean modulo the committed
-   proto baseline. *)
+   reader (the fixture document and the whole tree's), and the real tree
+   is clean modulo the committed proto baseline. *)
 
 module Finding = Dcp_lint.Finding
 module Baseline = Dcp_lint.Baseline
@@ -82,8 +81,54 @@ let test_dot_export () =
      in
      find 0)
 
-let test_report_roundtrip () =
-  let o = analyze [ ("lib/demo/proto_missing_reply.ml", "proto_missing_reply.ml") ] in
+(* A whole program in memory: an interface with used, unused, test-only
+   and nested exports, plus a module type whose body is not an export;
+   bin/ names values qualified and under [open], test/ the test-only one
+   through a module alias, and the unit's own uses do not count. *)
+let test_unused_export () =
+  let units =
+    [
+      ( "lib/demo/widget.mli",
+        "val used : int -> int\nval opened : int\nval unused : int\nval probe : unit -> unit\n\
+         module Inner : sig val deep : int val shallow : int end\n\
+         module type S = sig val skipped : int end\n" );
+      ( "lib/demo/widget.ml",
+        "let used x = x + 1\nlet opened = 2\nlet unused = used 0\nlet probe () = ()\n\
+         module Inner = struct let deep = 1 let shallow = unused end\n\
+         module type S = sig val skipped : int end\n" );
+      ( "bin/app.ml",
+        "let () = print_int (Widget.used 1)\nopen Widget\nlet _ = opened + Inner.deep\n" );
+      ("test/test_widget.ml", "module W = Widget\nlet () = W.probe ()\n");
+    ]
+  in
+  let o = Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ()) in
+  let flagged =
+    List.filter_map
+      (fun f ->
+        if String.equal f.Finding.rule "unused-export" then
+          Some (f.Finding.context ^ "." ^ f.Finding.token)
+        else None)
+      o.Proto_driver.active
+  in
+  Alcotest.(check (list string))
+    "only the unused values" [ "Widget.unused"; "Widget.Inner.shallow" ] flagged;
+  (* Baselining an unused export does not hide it: the entry goes stale. *)
+  let path = Filename.temp_file "proto_baseline" ".txt" in
+  Baseline.save ~path o.Proto_driver.findings;
+  let again = Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.load ~path) in
+  Sys.remove path;
+  Alcotest.(check int) "baselined ones stay active" 2 (List.length again.Proto_driver.active);
+  Alcotest.(check int) "their entries are stale" 2 (List.length again.Proto_driver.stale_baseline);
+  let summary = Report.member "summary" o.Proto_driver.report in
+  match Option.bind summary (Report.member "test_only_exports") with
+  | Some counts ->
+      Alcotest.(check bool) "probe is test-only" true
+        (Report.member "demo" counts = Some (Report.Num 1.))
+  | None -> Alcotest.fail "summary.test_only_exports missing"
+
+(* The report's document shape: renders and parses back unchanged, names
+   its schema and counts active findings. *)
+let check_report (o : Proto_driver.outcome) =
   let parsed = Report.parse (Report.render o.Proto_driver.report) in
   Alcotest.(check bool) "render/parse round-trips" true (parsed = o.Proto_driver.report);
   (match Report.member "schema" parsed with
@@ -98,6 +143,9 @@ let test_report_roundtrip () =
             (int_of_float active)
       | _ -> Alcotest.fail "summary.active missing")
   | None -> Alcotest.fail "summary member missing"
+
+let test_report_roundtrip () =
+  check_report (analyze [ ("lib/demo/proto_missing_reply.ml", "proto_missing_reply.ml") ])
 
 (* Walk up from the build sandbox to the real checkout; the in-tree @lint
    alias enforces cleanliness anyway, so skip quietly when not found. *)
@@ -133,21 +181,17 @@ let test_tree_clean () =
       Alcotest.(check bool) "flow graph is non-trivial" true
         (List.length o.Proto_driver.edges > 20)
 
-let test_committed_report () =
+(* The whole tree's report, as @proto-dot writes it to _build: the same
+   round-trip and schema checks, with a clean tree ([summary.active = 0]). *)
+let test_tree_report () =
   match find_repo_root () with
   | None -> ()
-  | Some root -> (
-      let doc = Report.parse (read_file (Filename.concat root "PROTO_report.json")) in
-      (match Report.member "schema" doc with
-      | Some (Report.Str s) -> Alcotest.(check string) "committed schema" Proto_report.schema s
-      | _ -> Alcotest.fail "committed PROTO_report.json lacks a schema");
-      match Report.member "summary" doc with
-      | Some summary -> (
-          match Report.member "active" summary with
-          | Some (Report.Num n) ->
-              Alcotest.(check int) "committed report shows a clean tree" 0 (int_of_float n)
-          | _ -> Alcotest.fail "summary.active missing")
-      | None -> Alcotest.fail "summary missing")
+  | Some root ->
+      let o =
+        Proto_driver.run ~root ~baseline_path:(Filename.concat root "proto_baseline.txt") ()
+      in
+      check_report o;
+      Alcotest.(check int) "clean tree" 0 (List.length o.Proto_driver.active)
 
 let tests =
   [
@@ -158,5 +202,6 @@ let tests =
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "proto report round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo proto baseline" `Quick test_tree_clean;
-    Alcotest.test_case "committed PROTO_report.json parses" `Quick test_committed_report;
+    Alcotest.test_case "tree proto report round-trips" `Quick test_tree_report;
+    Alcotest.test_case "unused-export fixture" `Quick test_unused_export;
   ]

@@ -276,10 +276,9 @@ let test_encode_bounds_raise_at_sender () =
   Alcotest.(check bool) "24-bit bound enforced at sender" true !raised
 
 let test_recovery_restores_store () =
-  (* The crash-tear probability is set to 0 so the logged record is intact;
-     torn-tail behaviour is covered by the stable-storage tests. *)
-  let config = { Runtime.default_config with crash_tear_p = 0.0 } in
-  let world = make_world ~config () in
+  (* The default crash-tear probability is 0, so the logged record is
+     intact; torn-tail behaviour is covered by the stable-storage tests. *)
+  let world = make_world () in
   let observed = ref None in
   let keeper_def : Runtime.def =
     {
