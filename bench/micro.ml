@@ -607,7 +607,8 @@ let json_escape s =
 
 let write_json ?(path = json_path) rows =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"dcp.bench.micro/v1\",\n  \"unit\": \"ns_per_op\",\n  \"results\": [";
+  Printf.fprintf oc "{\n  \"schema\": \"dcp.bench.micro/v1\",\n  \"unit\": \"ns_per_op\",\n";
+  Printf.fprintf oc "  \"nproc\": %d,\n  \"results\": [" Scaling.nproc;
   List.iteri
     (fun i (name, est) ->
       Printf.fprintf oc "%s\n    { \"name\": \"%s\", \"ns_per_op\": %s }"

@@ -2,6 +2,8 @@
    one client does [pings] ping/pong round trips against an echo guardian in
    a world also hosting [idle] other guardians.  Per-message cost that grows
    with [idle] means an O(#guardians) scan survives on the delivery path.
+   Minor words per round trip are exact for a fixed build, so they expose
+   per-message allocation that the noisy ns figure hides.
 
    Run with:  dune exec bench/probe.exe -- <idle> <pings>  *)
 
@@ -62,9 +64,12 @@ let () =
   in
   Runtime.register_def world client_def;
   Runtime.run world;
-  let t0 = Sys.time () in
+  let t0 = Sys.time () and w0 = Gc.minor_words () in
   ignore (Runtime.create_guardian world ~at:0 ~def_name:"probe_client" ~args:[]);
   Runtime.run world;
-  let t1 = Sys.time () in
-  Printf.printf "idle=%-6d pings=%d  %8.1f ns/round-trip\n" idle pings
-    ((t1 -. t0) *. 1e9 /. float_of_int pings)
+  let t1 = Sys.time () and w1 = Gc.minor_words () in
+  let per_rt x = x /. float_of_int pings in
+  Printf.printf "idle=%-6d pings=%d  %8.1f ns/round-trip  %7.1f minor words/round-trip\n" idle
+    pings
+    (per_rt ((t1 -. t0) *. 1e9))
+    (per_rt (w1 -. w0))

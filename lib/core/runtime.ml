@@ -51,6 +51,62 @@ type hot_metrics = {
   m_latency_us : Metrics.histogram;
 }
 
+(* Trace events: one constructor per trace site.  An event holds names,
+   gids, the command and port names — never argument values, so the ring
+   keeps no payload alive — and is rendered only when the trace is read. *)
+type event =
+  | Send of {
+      def_name : string;
+      gid : int;
+      to_ : Port_name.t;
+      command : string;
+      reply_to : Port_name.t option;
+    }
+  | Discard of { reason : string; command : string; reply_to : Port_name.t option }
+  | Created of { def_name : string; gid : int; node : node_id }
+  | Self_destruct of { def_name : string; gid : int }
+  | Crash of node_id
+  | Restart of node_id
+  | Recovery_damage of {
+      def_name : string;
+      gid : int;
+      quarantined : int;
+      salvaged : int;
+      checkpoint_fallbacks : int;
+    }
+  | Recovered of { def_name : string; gid : int; replayed : int }
+
+let event_category = function
+  | Send _ -> "send"
+  | Discard _ -> "discard"
+  | Created _ | Self_destruct _ | Recovered _ -> "guardian"
+  | Crash _ -> "crash"
+  | Restart _ -> "restart"
+  | Recovery_damage _ -> "stable"
+
+(* Arguments render as [(..)]: the event never saw them. *)
+let pp_call fmt (command, reply_to) =
+  Format.fprintf fmt "%s(..)" command;
+  Option.iter (Format.fprintf fmt " replyto %a" Port_name.pp) reply_to
+
+let pp_event fmt = function
+  | Send { def_name; gid; to_; command; reply_to } ->
+      Format.fprintf fmt "%s#%d -> %a: %a" def_name gid Port_name.pp to_ pp_call
+        (command, reply_to)
+  | Discard { reason; command; reply_to } ->
+      Format.fprintf fmt "%s: %a" reason pp_call (command, reply_to)
+  | Created { def_name; gid; node } ->
+      Format.fprintf fmt "created %s#%d at node %d" def_name gid node
+  | Self_destruct { def_name; gid } -> Format.fprintf fmt "self-destruct %s#%d" def_name gid
+  | Crash node -> Format.fprintf fmt "node %d crashed" node
+  | Restart node -> Format.fprintf fmt "node %d restarted" node
+  | Recovery_damage { def_name; gid; quarantined; salvaged; checkpoint_fallbacks } ->
+      Format.fprintf fmt
+        "guardian %s#%d recovery damage: %d quarantined, %d salvaged, %d checkpoint fallbacks"
+        def_name gid quarantined salvaged checkpoint_fallbacks
+  | Recovered { def_name; gid; replayed } ->
+      Format.fprintf fmt "recovered %s#%d (replayed %d records)" def_name gid replayed
+
 (* ------------------------------------------------------------------ *)
 (* Shards                                                              *)
 (*                                                                     *)
@@ -101,7 +157,7 @@ and shard = {
   smetrics : Metrics.registry;
   shot : hot_metrics;
   sencoder : Codec.encoder;  (** scratch-buffer encoder for this shard's send path *)
-  strace : Trace.t;
+  strace : event Trace.t;
   ssys_rng : Rng.t;  (** secrets, crash tears *)
   sworkload_rng : Rng.t;  (** handed to user workload generators *)
   sguardians_by_def : (string, guardian list ref) Hashtbl.t;  (** newest first *)
@@ -192,7 +248,7 @@ let network_stats w =
     w.shards
 
 let scount sh name = Metrics.incr (Metrics.counter sh.smetrics name)
-let stracef sh category fmt = Trace.recordf sh.strace ~at:(Engine.now sh.sengine) ~category fmt
+let strace sh e = Trace.record sh.strace ~at:(Engine.now sh.sengine) e
 
 let register_def w def =
   if Hashtbl.mem w.defs def.def_name then
@@ -276,7 +332,7 @@ let route_ref : (world -> from:node -> target:Port_name.t -> Message.t -> unit) 
 let reject w node msg reason =
   let sh = node.shard in
   Metrics.incr sh.shot.m_deliver_discarded;
-  stracef sh "discard" "%s: %a" reason Message.pp msg;
+  strace sh (Discard { reason; command = msg.Message.command; reply_to = msg.Message.reply_to });
   match msg.Message.reply_to with
   | Some reply_port when not (Message.is_failure msg) ->
       Metrics.incr sh.shot.m_failure_sent;
@@ -404,7 +460,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
       smetrics;
       shot = hot_of smetrics;
       sencoder = Codec.encoder ~config:config.codec ();
-      strace = Trace.create ();
+      strace = Trace.create ~category:event_category ~detail:pp_event ();
       ssys_rng = sys_rng;
       sworkload_rng = workload_rng;
       sguardians_by_def = Hashtbl.create 16;
@@ -607,7 +663,7 @@ let create_guardian_at w node ~def ~args =
   | Some gs -> gs := g :: !gs
   | None -> Hashtbl.replace sh.sguardians_by_def def.def_name (ref [ g ]));
   scount sh "guardian.created";
-  stracef sh "guardian" "created %s#%d at node %d" def.def_name gid node.node_id;
+  strace sh (Created { def_name = def.def_name; gid; node = node.node_id });
   let ctx = { cworld = w; cguardian = g } in
   ignore (spawn_in g ~name:(def.def_name ^ ".init") (fun () -> def.init ctx args));
   g
@@ -649,7 +705,7 @@ let self_destruct c =
   if g.galive then begin
     kill_guardian_volatile g;
     scount g.home.shard "guardian.self_destructed";
-    stracef g.home.shard "guardian" "self-destruct %s#%d" g.gdef.def_name g.gid
+    strace g.home.shard (Self_destruct { def_name = g.gdef.def_name; gid = g.gid })
   end
 
 (* ------------------------------------------------------------------ *)
@@ -680,7 +736,7 @@ let crash_node w node_id =
             if was_alive then Store.crash g.gstore ~tear:(sh.ssys_rng, w.config.crash_tear_p) ())
           node.guardians;
         scount sh "node.crashed";
-        stracef sh "crash" "node %d crashed" node_id
+        strace sh (Crash node_id)
       end
 
 let restart_node w node_id =
@@ -695,7 +751,7 @@ let restart_node w node_id =
         node.cpus <- Sync.semaphore sh.sengine w.config.processors_per_node;
         install_handler w node;
         scount sh "node.restarted";
-        stracef sh "restart" "node %d restarted" node_id;
+        strace sh (Restart node_id);
         List.iter
           (fun g ->
             match g.gdef.recover with
@@ -713,10 +769,15 @@ let restart_node w node_id =
                   bump "stable.corrupt" report.Store.quarantined;
                   bump "stable.salvaged" report.Store.salvaged;
                   bump "stable.ckpt_fallback" report.Store.checkpoint_fallbacks;
-                  stracef sh "stable"
-                    "guardian %s#%d recovery damage: %d quarantined, %d salvaged, %d checkpoint fallbacks"
-                    g.gdef.def_name g.gid report.Store.quarantined report.Store.salvaged
-                    report.Store.checkpoint_fallbacks
+                  strace sh
+                    (Recovery_damage
+                       {
+                         def_name = g.gdef.def_name;
+                         gid = g.gid;
+                         quarantined = report.Store.quarantined;
+                         salvaged = report.Store.salvaged;
+                         checkpoint_fallbacks = report.Store.checkpoint_fallbacks;
+                       })
                 end;
                 if report.Store.dropped_unflushed > 0 then
                   Metrics.add
@@ -736,8 +797,7 @@ let restart_node w node_id =
                 List.iter Port.reopen g.gports;
                 g.galive <- true;
                 scount sh "guardian.recovered";
-                stracef sh "guardian" "recovered %s#%d (replayed %d records)" g.gdef.def_name
-                  g.gid replayed;
+                strace sh (Recovered { def_name = g.gdef.def_name; gid = g.gid; replayed });
                 let ctx = { cworld = w; cguardian = g } in
                 ignore
                   (spawn_in g ~name:(g.gdef.def_name ^ ".recover") (fun () -> recover_proc ctx)))
@@ -768,7 +828,7 @@ let send c ~to_ ?reply_to command args =
     | Ok () -> ()
     | Error reason -> raise (Send_failed reason));
     let msg = Message.make ?reply_to ~sent_at:(Engine.now sh.sengine) command args in
-    stracef sh "send" "%s#%d -> %a: %a" g.gdef.def_name g.gid Port_name.pp to_ Message.pp msg;
+    strace sh (Send { def_name = g.gdef.def_name; gid = g.gid; to_; command; reply_to });
     (* Externalization barrier (write-ahead discipline): everything this
        guardian logged is flushed before any message leaves it, so a later
        crash can tear or drop only state the rest of the world has never

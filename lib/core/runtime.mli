@@ -118,7 +118,37 @@ val metrics : world -> Dcp_sim.Metrics.registry
     reading it is cheap but not free — hot code should hold a ctx and use
     {!ctx_metrics}. *)
 
-val trace : world -> Dcp_sim.Trace.t
+(** {1 Trace}
+
+    One typed event per trace site.  Events carry names, gids, the command
+    and port names but never argument values, so a retained trace keeps no
+    payload alive; they are rendered (category, then detail) only when the
+    trace is read. *)
+
+type event =
+  | Send of {
+      def_name : string;
+      gid : int;
+      to_ : Port_name.t;
+      command : string;
+      reply_to : Port_name.t option;
+    }  (** category ["send"]: a live guardian sent [command] to [to_] *)
+  | Discard of { reason : string; command : string; reply_to : Port_name.t option }
+      (** category ["discard"]: a message was discarded at delivery *)
+  | Created of { def_name : string; gid : int; node : node_id }  (** category ["guardian"] *)
+  | Self_destruct of { def_name : string; gid : int }  (** category ["guardian"] *)
+  | Crash of node_id  (** category ["crash"] *)
+  | Restart of node_id  (** category ["restart"] *)
+  | Recovery_damage of {
+      def_name : string;
+      gid : int;
+      quarantined : int;
+      salvaged : int;
+      checkpoint_fallbacks : int;
+    }  (** category ["stable"]: recovery found damaged stable state *)
+  | Recovered of { def_name : string; gid : int; replayed : int }  (** category ["guardian"] *)
+
+val trace : world -> event Dcp_sim.Trace.t
 (** Shard 0's trace. *)
 
 val registry : world -> Transmit.registry

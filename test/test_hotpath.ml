@@ -1,7 +1,7 @@
 (* Regression tests for the hot-path overhaul: per-attempt RPC deadlines,
    stable port indices, bounded waiter lists, link composition algebra,
-   Hashtbl-backed metrics/guardian registries and the O(1) engine pending
-   count. *)
+   Hashtbl-backed metrics/guardian registries, the O(1) engine pending
+   count, and the allocation cost of world set-up and of one round trip. *)
 
 open Dcp_wire
 module Runtime = Dcp_core.Runtime
@@ -274,6 +274,85 @@ let test_find_guardians_creation_order () =
   Alcotest.(check (list int)) "unknown def -> []" []
     (List.map Runtime.guardian_id (Runtime.find_guardians world ~def_name:"nope"))
 
+(* ---- allocation pins: world set-up and the round trip ---- *)
+
+(* A trace ring that allocated its 65,536 slots (512 KiB) at creation or
+   at the first record would show here.  [Gc.allocated_bytes] counts
+   major-heap blocks too, which is where an array that size lands, so it
+   catches what [Gc.minor_words] would miss. *)
+let test_setup_allocation () =
+  let before = Gc.allocated_bytes () in
+  let world =
+    Runtime.create_world ~seed:3 ~topology:(Topology.full_mesh ~n:4 Link.perfect) ~shards:1 ()
+  in
+  let def =
+    {
+      Runtime.def_name = "setup_pin";
+      provides = [ ([ Vtype.wildcard ], 64) ];
+      init = (fun _ _ -> ());
+      recover = None;
+    }
+  in
+  Runtime.register_def world def;
+  ignore (Runtime.create_guardian world ~at:0 ~def_name:"setup_pin" ~args:[]);
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "set-up allocated %.0f bytes, under 64 KiB" bytes)
+    true
+    (bytes < 65536.)
+
+(* Minor words per ping/pong round trip between two guardians on one node:
+   the send path must not format a string (or anything else) per message. *)
+let round_trip_words ~pings =
+  let world = Runtime.create_world ~seed:7 ~topology:(Topology.full_mesh ~n:1 Link.perfect) () in
+  let echo_def =
+    {
+      Runtime.def_name = "words_echo";
+      provides = [ ([ Vtype.wildcard ], 64) ];
+      init =
+        (fun ctx _ ->
+          let rec loop () =
+            (match Runtime.receive ctx [ Runtime.port ctx 0 ] with
+            | `Timeout -> ()
+            | `Msg (_, msg) -> (
+                match msg.Message.reply_to with
+                | Some reply -> Runtime.send ctx ~to_:reply "pong" []
+                | None -> ()));
+            loop ()
+          in
+          loop ());
+      recover = None;
+    }
+  in
+  Runtime.register_def world echo_def;
+  let echo = Runtime.create_guardian world ~at:0 ~def_name:"words_echo" ~args:[] in
+  let echo_port = List.hd (Runtime.guardian_ports echo) in
+  let client_def =
+    {
+      Runtime.def_name = "words_client";
+      provides = [];
+      init =
+        (fun ctx _ ->
+          let reply = Runtime.new_port ctx [ Vtype.wildcard ] in
+          for _ = 1 to pings do
+            Runtime.send ctx ~to_:echo_port ~reply_to:(Port.name reply) "ping" [];
+            match Runtime.receive ctx ~timeout:(Clock.s 1) [ reply ] with `Msg _ | `Timeout -> ()
+          done);
+      recover = None;
+    }
+  in
+  Runtime.register_def world client_def;
+  ignore (Runtime.create_guardian world ~at:0 ~def_name:"words_client" ~args:[]);
+  let before = Gc.minor_words () in
+  Runtime.run world;
+  (Gc.minor_words () -. before) /. float_of_int pings
+
+let test_round_trip_words () =
+  let words = round_trip_words ~pings:2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per round trip <= 1000" words)
+    true (words <= 1000.)
+
 let tests =
   [
     Alcotest.test_case "rpc stale flood bounded by deadline" `Quick test_rpc_stale_flood_deadline;
@@ -284,4 +363,6 @@ let tests =
     Alcotest.test_case "metrics registry 1.5k names" `Quick test_metrics_registry_many_names;
     Alcotest.test_case "engine pending exact" `Quick test_engine_pending_exact;
     Alcotest.test_case "find_guardians indexed" `Quick test_find_guardians_creation_order;
+    Alcotest.test_case "world set-up allocates no trace ring" `Quick test_setup_allocation;
+    Alcotest.test_case "round trip <= 1000 minor words" `Quick test_round_trip_words;
   ]

@@ -209,9 +209,71 @@ let test_trace_has_send_and_discard () =
       let bogus = Port_name.make ~node:1 ~guardian:12345 ~index:0 ~uid:54321 in
       Runtime.send ctx ~to_:bogus "into_the_void" []);
   Runtime.run_for world (Clock.s 1);
-  let trace = Runtime.trace world in
-  Alcotest.(check bool) "send recorded" true (Trace.find trace ~category:"send" <> []);
-  Alcotest.(check bool) "discard recorded" true (Trace.find trace ~category:"discard" <> [])
+  let events = List.map snd (Trace.events (Runtime.trace world)) in
+  Alcotest.(check bool) "send recorded" true
+    (List.exists
+       (function Runtime.Send { command = "into_the_void"; _ } -> true | _ -> false)
+       events);
+  Alcotest.(check bool) "discard recorded" true
+    (List.exists
+       (function
+         | Runtime.Discard { command = "into_the_void"; reason; _ } ->
+             String.equal reason "target guardian does not exist"
+         | _ -> false)
+       events)
+
+(* ---- the rendered trace of a small fixed world ---- *)
+
+let test_trace_golden_render () =
+  let world = make_world () in
+  let keeper =
+    {
+      Runtime.def_name = "keeper";
+      provides = [ ([ Vtype.wildcard ], 4) ];
+      init =
+        (fun ctx _ ->
+          match Runtime.receive ctx [ Runtime.port ctx 0 ] with `Msg _ | `Timeout -> ());
+      recover = Some (fun _ -> ());
+    }
+  in
+  Runtime.register_def world keeper;
+  let keeper = Runtime.create_guardian world ~at:1 ~def_name:"keeper" ~args:[] in
+  let keeper_port = List.hd (Runtime.guardian_ports keeper) in
+  let caller =
+    {
+      Runtime.def_name = "caller";
+      provides = [ ([ Vtype.wildcard ], 4) ];
+      init =
+        (fun ctx _ ->
+          let reply = Port.name (Runtime.port ctx 0) in
+          Runtime.send ctx ~to_:keeper_port ~reply_to:reply "hello" [ Value.int 42 ];
+          let bogus = Port_name.make ~node:1 ~guardian:99 ~index:0 ~uid:99 in
+          Runtime.send ctx ~to_:bogus "lost" [ Value.str "payload" ]);
+      recover = None;
+    }
+  in
+  Runtime.register_def world caller;
+  ignore (Runtime.create_guardian world ~at:0 ~def_name:"caller" ~args:[]);
+  Runtime.schedule_at world ~node:1 ~at:(Clock.ms 10) (fun () -> Runtime.crash_node world 1);
+  Runtime.schedule_at world ~node:1 ~at:(Clock.ms 20) (fun () -> Runtime.restart_node world 1);
+  Runtime.run_for world (Clock.s 1);
+  let lines =
+    Format.asprintf "%a" Trace.pp (Runtime.trace world)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "rendered trace"
+    [
+      "[0ns] guardian         created keeper#0 at node 1";
+      "[0ns] guardian         created caller#1 at node 0";
+      "[0ns] send             caller#1 -> port<n1.g0.p0#0>: hello(..) replyto port<n0.g1.p0#1>";
+      "[0ns] send             caller#1 -> port<n1.g99.p0#99>: lost(..)";
+      "[0ns] discard          target guardian does not exist: lost(..)";
+      "[10.000ms] crash            node 1 crashed";
+      "[20.000ms] restart          node 1 restarted";
+      "[20.000ms] guardian         recovered keeper#0 (replayed 0 records)";
+    ]
+    lines
 
 (* ---- messages between processes of one guardian ---- *)
 
@@ -335,6 +397,7 @@ let tests =
     Alcotest.test_case "port overflow failure" `Quick test_port_overflow_failure;
     Alcotest.test_case "primordial ping" `Quick test_primordial_ping;
     Alcotest.test_case "trace send+discard" `Quick test_trace_has_send_and_discard;
+    Alcotest.test_case "trace golden render" `Quick test_trace_golden_render;
     Alcotest.test_case "intra-guardian port messaging" `Quick test_intra_guardian_ports;
     Alcotest.test_case "foreign ports unobtainable" `Quick test_receive_foreign_port_rejected;
   ]

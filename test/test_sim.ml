@@ -192,34 +192,78 @@ let prop_histogram_quantile_monotone =
 
 (* ---- Trace ---- *)
 
+(* A tiny event type standing in for a runtime's: rendered only on read. *)
+type ev = Sent of string | Tick of int
+
+let ev_category = function Sent _ -> "send" | Tick _ -> "tick"
+
+let ev_detail fmt = function
+  | Sent s -> Format.pp_print_string fmt s
+  | Tick i -> Format.fprintf fmt "tick %d" i
+
+let ticks ?capacity n =
+  let t = Trace.create ?capacity ~category:ev_category ~detail:ev_detail () in
+  for i = 1 to n do
+    Trace.record t ~at:i (Tick i)
+  done;
+  t
+
+let tick_ids t = List.map (function _, Tick i -> i | _, Sent _ -> -1) (Trace.events t)
+
 let test_trace_records () =
-  let t = Trace.create ~capacity:8 () in
-  Trace.record t ~at:1 ~category:"send" "hello";
-  Trace.recordf t ~at:2 ~category:"recv" "%d of %d" 1 2;
+  let t = Trace.create ~capacity:8 ~category:ev_category ~detail:ev_detail () in
+  Trace.record t ~at:1 (Sent "hello");
+  Trace.record t ~at:2 (Tick 7);
   Alcotest.(check int) "size" 2 (Trace.size t);
-  match Trace.events t with
-  | [ e1; e2 ] ->
-      Alcotest.(check string) "first" "hello" e1.Trace.detail;
-      Alcotest.(check string) "formatted" "1 of 2" e2.Trace.detail
-  | _ -> Alcotest.fail "expected two events"
+  (match Trace.events t with
+  | [ (1, Sent "hello"); (2, Tick 7) ] -> ()
+  | _ -> Alcotest.fail "expected the two typed events, oldest first");
+  Alcotest.(check string) "rendered on read"
+    (Format.asprintf "[%a] %-16s hello@.[%a] %-16s tick 7@." Clock.pp 1 "send" Clock.pp 2 "tick")
+    (Format.asprintf "%a" Trace.pp t)
 
 let test_trace_ring_overflow () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Trace.record t ~at:i ~category:"x" (string_of_int i)
-  done;
+  let t = ticks ~capacity:4 10 in
   Alcotest.(check int) "retains capacity" 4 (Trace.size t);
   Alcotest.(check int) "total counts all" 10 (Trace.total t);
-  Alcotest.(check (list string)) "keeps newest"
-    [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.detail) (Trace.events t))
+  Alcotest.(check (list int)) "keeps newest" [ 7; 8; 9; 10 ] (tick_ids t)
 
 let test_trace_find () =
-  let t = Trace.create () in
-  Trace.record t ~at:1 ~category:"a" "1";
-  Trace.record t ~at:2 ~category:"b" "2";
-  Trace.record t ~at:3 ~category:"a" "3";
-  Alcotest.(check int) "category filter" 2 (List.length (Trace.find t ~category:"a"))
+  let t = Trace.create ~category:ev_category ~detail:ev_detail () in
+  Trace.record t ~at:1 (Tick 1);
+  Trace.record t ~at:2 (Sent "2");
+  Trace.record t ~at:3 (Tick 3);
+  Alcotest.(check (list int)) "category filter" [ 1; 3 ]
+    (List.map fst (Trace.find t ~category:"tick"))
+
+(* The ring starts at 64 slots and doubles: every count around the first
+   chunk and the first doubling comes back whole and in order. *)
+let test_trace_ring_growth () =
+  List.iter
+    (fun n ->
+      let t = ticks n in
+      Alcotest.(check int) (Printf.sprintf "size after %d" n) n (Trace.size t);
+      Alcotest.(check int) (Printf.sprintf "total after %d" n) n (Trace.total t);
+      Alcotest.(check (list int))
+        (Printf.sprintf "order after %d" n)
+        (List.init n succ) (tick_ids t))
+    [ 63; 64; 65; 129 ]
+
+(* Growth stops at a capacity that no doubling of 64 reaches exactly. *)
+let test_trace_ring_wrap_odd_capacity () =
+  let t = ticks ~capacity:100 250 in
+  Alcotest.(check int) "size" 100 (Trace.size t);
+  Alcotest.(check int) "total" 250 (Trace.total t);
+  Alcotest.(check (list int)) "last 100, oldest first"
+    (List.init 100 (fun i -> 151 + i))
+    (tick_ids t)
+
+let test_trace_ring_small_capacity () =
+  let t = ticks ~capacity:4 3 in
+  Alcotest.(check (list int)) "below capacity" [ 1; 2; 3 ] (tick_ids t);
+  List.iter (fun i -> Trace.record t ~at:i (Tick i)) [ 4; 5 ];
+  Alcotest.(check int) "size" 4 (Trace.size t);
+  Alcotest.(check (list int)) "wrapped" [ 2; 3; 4; 5 ] (tick_ids t)
 
 let tests =
   [
@@ -245,4 +289,8 @@ let tests =
     Alcotest.test_case "trace records" `Quick test_trace_records;
     Alcotest.test_case "trace ring overflow" `Quick test_trace_ring_overflow;
     Alcotest.test_case "trace find" `Quick test_trace_find;
+    Alcotest.test_case "trace ring growth" `Quick test_trace_ring_growth;
+    Alcotest.test_case "trace ring wrap at capacity 100" `Quick test_trace_ring_wrap_odd_capacity;
+    Alcotest.test_case "trace ring capacity below first chunk" `Quick
+      test_trace_ring_small_capacity;
   ]
