@@ -37,7 +37,8 @@ let test_codec_encode_reused =
   Test.make ~name:"codec.encode message (reused encoder)"
     (Staged.stage
        (let enc = Codec.encoder () in
-        fun () -> Codec.encode_with_exn enc sample_value))
+        fun () ->
+          match Codec.encode_with enc sample_value with Ok s -> s | Error _ -> assert false))
 
 let test_codec_decode =
   Test.make ~name:"codec.decode message" (Staged.stage (fun () -> Codec.decode_exn sample_encoded))

@@ -20,155 +20,11 @@
    `--threshold` (default 25%) applies to the thruput/timing classes
    only.  `--rows` restricts the gate to the named rows; by default every
    row present in both files is gated.  Rows with a null estimate on
-   either side are reported but never gated.  The parser below covers
-   exactly the JSON subset our emitter produces (objects, arrays,
-   strings, numbers, null) so the tool has no dependencies beyond the
-   stdlib. *)
+   either side are reported but never gated.  Files are read with the
+   lint report's JSON parser ([Dcp_lint.Report]), which covers the subset
+   our emitters produce. *)
 
-type json =
-  | Null
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= len then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        (if !pos >= len then fail "unterminated escape");
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-            if !pos + 4 > len then fail "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-            pos := !pos + 4;
-            (* our row names are ASCII; anything else renders as '?' *)
-            Buffer.add_char b (if code < 128 then Char.chr code else '?')
-        | _ -> fail "unknown escape");
-        loop ()
-      end
-      else begin
-        Buffer.add_char b c;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while !pos < len && is_num_char s.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | Some 'n' ->
-        if !pos + 4 <= len && String.sub s !pos 4 = "null" then begin
-          pos := !pos + 4;
-          Null
-        end
-        else fail "unknown literal"
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing bytes";
-  v
+module Report = Dcp_lint.Report
 
 let schema = "dcp.bench.micro/v1"
 
@@ -194,20 +50,20 @@ let load_rows path =
   let contents = really_input_string ic n in
   close_in ic;
   let root =
-    try parse_json contents
-    with Parse_error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+    try Report.parse contents
+    with Report.Parse_error msg -> failwith (Printf.sprintf "%s: %s" path msg)
   in
-  let field name = function Obj fields -> List.assoc_opt name fields | _ -> None in
+  let field = Report.member in
   (match field "schema" root with
-  | Some (Str s) when s = schema -> ()
+  | Some (Report.Str s) when s = schema -> ()
   | _ -> failwith (Printf.sprintf "%s: not a %s file" path schema));
   match field "results" root with
-  | Some (Arr rows) ->
+  | Some (Report.Arr rows) ->
       List.filter_map
         (fun row ->
           match (field "name" row, field "ns_per_op" row) with
-          | Some (Str name), Some (Num ns) -> Some (name, Some ns)
-          | Some (Str name), Some Null -> Some (name, None)
+          | Some (Report.Str name), Some (Report.Num ns) -> Some (name, Some ns)
+          | Some (Report.Str name), Some Report.Null -> Some (name, None)
           | _ -> failwith (Printf.sprintf "%s: malformed results row" path))
         rows
   | _ -> failwith (Printf.sprintf "%s: missing results array" path)

@@ -8,7 +8,7 @@
    Runs both analysis tiers: the per-file scan (isolation, layer DAG,
    transmittability, determinism, hygiene) and the whole-program proto
    tier (message-flow graph, dead letters, reply obligations,
-   interprocedural escapes).
+   interprocedural escapes, unused and test-only exports).
 
    Exit 0 when every finding is baselined and no baseline entry is stale,
    1 when active findings or stale baseline entries remain, 2 on usage or
@@ -37,7 +37,7 @@ let explain rule =
       exit 0
   | None ->
       Printf.eprintf "dcp_lint: unknown rule %S; known rules:\n" rule;
-      List.iter (fun (r, _) -> Printf.eprintf "  %s\n" r) Finding.rules;
+      List.iter (fun (r, _, _) -> Printf.eprintf "  %s\n" r) Finding.rules;
       exit 2
 
 (* The graphviz export is consumed by `dot`; a malformed or empty file

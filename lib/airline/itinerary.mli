@@ -22,8 +22,6 @@
 
 open Dcp_wire
 
-val def_name : string
-
 val create :
   Dcp_core.Runtime.world ->
   at:Dcp_core.Runtime.node_id ->

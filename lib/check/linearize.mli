@@ -55,9 +55,6 @@ val check : ?max_states:int -> event list -> (unit, string) result
 
 val record : Dcp_core.Runtime.ctx -> seq:int -> event -> unit
 
-val encode_event : event -> string
-val decode_event : string -> event option
-
 val events_in_store : Dcp_stable.Store.t -> event list
 (** All recorded events in recording order; undecodable records are
     skipped. *)

@@ -34,8 +34,6 @@ let execute t ~seed ~profile ?horizon ?workload ?(intensity = 1.0) ?(shards = 1)
 
 let fail_reason outcome = match outcome.verdict with Pass -> None | Fail reason -> Some reason
 
-let stat outcome name = Option.value (List.assoc_opt name outcome.stats) ~default:0
-
 let pp_outcome ppf outcome =
   (match outcome.verdict with
   | Pass -> Format.fprintf ppf "PASS"

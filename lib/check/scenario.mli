@@ -54,7 +54,5 @@ val execute :
     [parallel]. *)
 
 val fail_reason : outcome -> string option
-val stat : outcome -> string -> int
-(** Named stat, 0 when absent. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -346,7 +346,7 @@ let run_replica ~replicas:n (params : Scenario.params) =
       Runtime.sleep ctx (Clock.ms 100);
       for i = 1 to params.workload do
         let key = Printf.sprintf "key%04d" i in
-        let replica = ports.(Rng.int rng n) in
+        let replica = Rng.choice rng ports in
         (* Pinned request ids, outside the world mint's range.  Minted ids
            would be as deterministic, but smaller varints, and the pinned
            replica fingerprints were taken with these bytes. *)
@@ -465,7 +465,6 @@ type op_counts = {
    would re-broadcast the write and break the history; timeout means
    "pending", never "retry". *)
 let run_client ctx ~counts ~rng ~ports ~keys ~write_pct ~use_snapshots ~idx ~count ~gap =
-  let members = Array.length ports in
   let recorded = ref 0 in
   let record event =
     Linearize.record ctx ~seq:!recorded event;
@@ -473,7 +472,7 @@ let run_client ctx ~counts ~rng ~ports ~keys ~write_pct ~use_snapshots ~idx ~cou
   in
   Runtime.sleep ctx (Clock.ms 120);
   for i = 1 to count do
-    let member = ports.(Rng.int rng members) in
+    let member = Rng.choice rng ports in
     let key = Printf.sprintf "x%d" (Rng.int rng keys) in
     let value = (idx * 1_000_000) + i in
     let rid = 4_000_000_000 + (idx * 1_000_000) + i in

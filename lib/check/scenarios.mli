@@ -27,16 +27,9 @@
     - [register_mutated]: [register] without delivery barriers — writes
       acked at broadcast time, reads served from the stale local copy —
       the linearizability oracle's self-test; must fail under profiles
-      with real network delay. *)
+      with real network delay.
 
-val bank : Scenario.t
-val airline : Scenario.t
-val itinerary : Scenario.t
-val replica : Scenario.t
-val register : Scenario.t
-val snapshot : Scenario.t
-val bank_mutated : Scenario.t
-val register_mutated : Scenario.t
+    Scenarios are reached by name ({!find}), as [dcp_check] does. *)
 
 val all : Scenario.t list
 (** The honest default-sweep scenarios (excludes [bank_mutated] and

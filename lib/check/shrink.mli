@@ -31,7 +31,6 @@ val run :
 (** [Error] when the starting point does not fail (nothing to shrink).
     [budget] caps the number of scenario runs (default 60). *)
 
-val replay_hint : counterexample -> string
-(** The CLI invocation that reproduces the minimal counterexample. *)
-
 val pp : Format.formatter -> counterexample -> unit
+(** Renders the counterexample and, last, the [dcp_check run] invocation
+    that reproduces it. *)

@@ -46,7 +46,4 @@ val receive :
 (** Blocking receive on a set of ports, earlier ports having priority when
     several hold messages (the paper promises "a way of giving ports
     priority").  Must be called from inside a process.  [timeout:None]
-    waits forever. *)
-
-val try_receive : ports:t list -> (t * Message.t) option
-(** Non-blocking variant. *)
+    waits forever; [timeout:(Some 0)] is a non-blocking poll. *)

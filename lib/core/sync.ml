@@ -26,8 +26,6 @@ let with_lock m f =
   lock m;
   Fun.protect ~finally:(fun () -> unlock m) f
 
-let locked m = m.held
-
 type condition = { cengine : Engine.t; mutable cond_waiters : (unit -> unit) Queue.t }
 
 let condition engine = { cengine = engine; cond_waiters = Queue.create () }
@@ -72,10 +70,6 @@ let release s =
   | None ->
       if s.free >= s.total then invalid_arg "Sync.release: all units already free";
       s.free <- s.free + 1
-
-let with_unit s f =
-  acquire s;
-  Fun.protect ~finally:(fun () -> release s) f
 
 let available s = s.free
 

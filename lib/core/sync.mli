@@ -22,7 +22,6 @@ val unlock : mutex -> unit
 (** @raise Invalid_argument if the mutex is not held. *)
 
 val with_lock : mutex -> (unit -> 'a) -> 'a
-val locked : mutex -> bool
 
 type condition
 
@@ -53,7 +52,6 @@ val acquire : semaphore -> unit
 val release : semaphore -> unit
 (** @raise Invalid_argument if all units are already free. *)
 
-val with_unit : semaphore -> (unit -> 'a) -> 'a
 val available : semaphore -> int
 
 (** {1 Keyed locks}

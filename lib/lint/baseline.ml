@@ -10,18 +10,25 @@ let empty () = { keys = Hashtbl.create 16 }
 
 let add t key = if not (Hashtbl.mem t.keys key) then Hashtbl.replace t.keys key (ref false)
 
-let load ~path =
-  let t = empty () in
-  if Sys.file_exists path then begin
+let read_lines path =
+  if not (Sys.file_exists path) then []
+  else begin
     let ic = open_in path in
+    let lines = ref [] in
     (try
        while true do
-         let line = String.trim (input_line ic) in
-         if String.length line > 0 && line.[0] <> '#' then add t line
+         lines := String.trim (input_line ic) :: !lines
        done
      with End_of_file -> ());
-    close_in ic
-  end;
+    close_in ic;
+    List.rev !lines
+  end
+
+let is_key line = String.length line > 0 && line.[0] <> '#'
+
+let load ~path =
+  let t = empty () in
+  List.iter (fun line -> if is_key line then add t line) (read_lines path);
   t
 
 let apply t findings =
@@ -47,9 +54,16 @@ let header =
     "# that any new entry really is benign (see DESIGN.md, \"Lint\").";
   ]
 
+(* Rewrite in place: comment and blank lines stay where they are (entries
+   sit under reason comments), keys that still match are kept, stale ones
+   dropped, and new keys appended. *)
 let save ~path findings =
   let keys = List.sort_uniq String.compare (List.map Finding.key findings) in
+  let previous = match read_lines path with [] -> header | lines -> lines in
+  let kept =
+    List.filter (fun l -> (not (is_key l)) || List.exists (String.equal l) keys) previous
+  in
+  let fresh = List.filter (fun k -> not (List.exists (String.equal k) previous)) keys in
   let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) header;
-  List.iter (fun k -> output_string oc (k ^ "\n")) keys;
+  List.iter (fun l -> output_string oc (l ^ "\n")) (kept @ fresh);
   close_out oc

@@ -18,5 +18,7 @@ val stale : t -> string list
     finding was fixed, so the entry should be pruned. *)
 
 val save : path:string -> Finding.t list -> unit
-(** Write the keys of [findings] (sorted, deduplicated) with a header
-    comment — the [--update-baseline] path. *)
+(** Make [path] list exactly the keys of [findings] — the
+    [--update-baseline] path.  Comment lines and surviving entries keep
+    their place, stale entries are dropped, new keys are appended (a new
+    file starts with a header comment). *)

@@ -34,8 +34,6 @@ let order a b =
 let pp ppf f =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.message
 
-let to_string f = Format.asprintf "%a" pp f
-
 type family = Isolation | Transmittability | Determinism | Hygiene | Protocol
 
 let family_name = function
@@ -45,26 +43,30 @@ let family_name = function
   | Hygiene -> "hygiene"
   | Protocol -> "protocol"
 
-(* Every rule either pass can emit, with its family: the reports list them so
-   downstream tooling need not hardcode the set. *)
+type tier = Scan | Proto
+
+(* Every rule either pass can emit, with its family and the tier that runs
+   it: each tier's report lists its own rules so downstream tooling need
+   not hardcode the set. *)
 let rules =
   [
-    ("layer-dag", Isolation);
-    ("guardian-isolation", Isolation);
-    ("mutable-payload", Transmittability);
-    ("wall-clock", Determinism);
-    ("hashtbl-order", Determinism);
-    ("domain-primitives", Determinism);
-    ("disk-faults", Determinism);
-    ("poly-compare", Hygiene);
-    ("obj-magic", Hygiene);
-    ("mli-missing", Hygiene);
-    ("parse-error", Hygiene);
-    ("proto-dead-letter", Protocol);
-    ("proto-unreachable-handler", Protocol);
-    ("proto-reply-obligation", Protocol);
-    ("proto-escape", Transmittability);
-    ("unused-export", Hygiene);
+    ("layer-dag", Isolation, Scan);
+    ("guardian-isolation", Isolation, Scan);
+    ("mutable-payload", Transmittability, Scan);
+    ("wall-clock", Determinism, Scan);
+    ("hashtbl-order", Determinism, Scan);
+    ("domain-primitives", Determinism, Scan);
+    ("disk-faults", Determinism, Scan);
+    ("poly-compare", Hygiene, Scan);
+    ("obj-magic", Hygiene, Scan);
+    ("mli-missing", Hygiene, Scan);
+    ("parse-error", Hygiene, Scan);
+    ("proto-dead-letter", Protocol, Proto);
+    ("proto-unreachable-handler", Protocol, Proto);
+    ("proto-reply-obligation", Protocol, Proto);
+    ("proto-escape", Transmittability, Proto);
+    ("unused-export", Hygiene, Proto);
+    ("test-only-export", Hygiene, Proto);
   ]
 
 (* One paragraph per rule, printed by [dcp_lint --explain <rule>]. *)
@@ -152,10 +154,17 @@ let explanations =
        resolved by its last module component, or a bare v under open M / \
        M.( ... ); uses inside the value's own unit do not count.  Uses are \
        read from lib/, bin/ and examples/ and also from bench/, test/ and \
-       perfbench/, which are never linted.  A value only test/ names is not \
-       a finding; the proto report counts those per library.  An API with \
-       no caller is deleted, never baselined: a false positive is fixed in \
-       the resolver." );
+       perfbench/, which are never linted.  An API with no caller is \
+       deleted, never baselined: a false positive is fixed in the \
+       resolver." );
+    ( "test-only-export",
+      "A val in a lib/ interface that only units under test/ name (uses \
+       resolved as for unused-export).  Give it a real caller, stop \
+       exporting it (a test reaches the behaviour through the public API), \
+       or grandfather it in the proto baseline under a reason comment: a \
+       test observer of behaviour other code relies on, or a paper example \
+       API.  A new one fails the build, and so does a stale entry (the value \
+       gained a caller or went), so the baselined set can only shrink." );
   ]
 
 let explain rule = List.assoc_opt rule explanations

@@ -32,15 +32,17 @@ val order : t -> t -> int
 (** Sort by (file, line, col, rule, message) for deterministic reports. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 type family = Isolation | Transmittability | Determinism | Hygiene | Protocol
 
 val family_name : family -> string
 
-val rules : (string * family) list
-(** Every rule either pass (per-file [Scan] or whole-program proto tier) can
-    emit, with its family. *)
+(** The pass that runs a rule: the per-file scan or the whole-program proto
+    tier. *)
+type tier = Scan | Proto
+
+val rules : (string * family * tier) list
+(** Every rule either pass can emit, with its family and tier. *)
 
 val explain : string -> string option
 (** The rule's documentation paragraph, printed by [dcp_lint --explain]. *)

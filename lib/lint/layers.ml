@@ -34,11 +34,6 @@ let dir_of_lib_name name =
     Some (String.sub name 4 (String.length name - 4))
   else None
 
-let rank_of_module m =
-  match dir_of_lib_name (String.lowercase_ascii m) with
-  | Some dir -> rank_of_dir dir
-  | None -> None
-
 (* ---- minimal s-expression reader, just enough for dune files ---- *)
 
 type sexp = Atom of string | List of sexp list

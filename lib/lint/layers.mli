@@ -21,10 +21,6 @@ val rank_of_dir : string -> int option
 val dir_of_lib_name : string -> string option
 (** ["dcp_bank"] -> [Some "bank"]; [None] for external library names. *)
 
-val rank_of_module : string -> int option
-(** Layer of a toplevel module reference, e.g. ["Dcp_bank"] -> [Some 6].
-    [None] for modules that are not in-repo libraries. *)
-
 val load : root:string -> lib list
 (** Parse every [lib/<dir>/dune] under [root], sorted by directory. *)
 

@@ -34,7 +34,11 @@ let analyze ~root ~units:pairs ~baseline =
   in
   let units = List.filter linted everything in
   let exports = List.concat_map (fun (path, source) -> Proto_extract.exports ~path ~source) mlis in
-  let unused, test_only = Proto_summary.unused_exports exports everything in
+  let unused, test_only =
+    List.partition
+      (fun f -> String.equal f.Finding.rule "unused-export")
+      (Proto_summary.unused_exports exports everything)
+  in
   let env = Proto_summary.build units in
   let resolved = List.map (fun u -> (u, Proto_summary.collect_sends env u)) units in
   let per_unit =
@@ -48,7 +52,7 @@ let analyze ~root ~units:pairs ~baseline =
     Proto_flow.dead_letters ~handled per_unit
     @ Proto_flow.unreachable ~sent units
     @ List.concat_map (Proto_reply.check env ~obligated) units
-    @ escapes
+    @ escapes @ test_only
   in
   (* An unused export is deleted, never grandfathered: a baseline entry
      for one matches nothing and so fails the build as stale. *)
@@ -62,7 +66,6 @@ let analyze ~root ~units:pairs ~baseline =
   let call_graph = Proto_summary.call_edges env in
   let report =
     Proto_report.build ~root ~units:per_unit ~flow:edges ~call_graph ~findings ~stale_baseline
-      ~test_only
   in
   {
     findings;

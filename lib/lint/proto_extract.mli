@@ -99,5 +99,4 @@ type unit_info = {
           counts as ["M.v"].  For [unused-export]. *)
 }
 
-val lib_of_path : string -> string option
 val load : path:string -> source:string -> unit_info

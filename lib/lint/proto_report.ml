@@ -97,40 +97,8 @@ let of_call_graph edges =
            ])
        groups)
 
-let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline ~test_only =
+let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline =
   let active = List.filter (fun f -> not f.Finding.baselined) findings in
-  let count p = List.length (List.filter p findings) in
-  let by_rule =
-    List.filter_map
-      (fun (rule, family) ->
-        if
-          not
-            (List.exists
-               (fun p -> String.equal rule p)
-               [
-                 "proto-dead-letter";
-                 "proto-unreachable-handler";
-                 "proto-reply-obligation";
-                 "proto-escape";
-                 "unused-export";
-               ])
-        then None
-        else
-          Some
-            ( rule,
-              Obj
-                [
-                  ("family", Str (Finding.family_name family));
-                  ( "total",
-                    Num (float_of_int (count (fun f -> String.equal f.Finding.rule rule))) );
-                  ( "active",
-                    Num
-                      (float_of_int
-                         (count (fun f ->
-                              String.equal f.Finding.rule rule && not f.Finding.baselined))) );
-                ] ))
-      Finding.rules
-  in
   Obj
     [
       ("schema", Str schema);
@@ -149,8 +117,6 @@ let build ~root ~units ~flow ~call_graph ~findings ~stale_baseline ~test_only =
             ("baselined", Num (float_of_int (List.length findings - List.length active)));
             ("stale_baseline", Num (float_of_int (List.length stale_baseline)));
             ("flow_edges", Num (float_of_int (List.length flow)));
-            ("rules", Obj by_rule);
-            ( "test_only_exports",
-              Obj (List.map (fun (lib, n) -> (lib, Num (float_of_int n))) test_only) );
+            ("rules", rule_summary Finding.Proto findings);
           ] );
     ]

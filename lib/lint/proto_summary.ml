@@ -619,9 +619,9 @@ let collect_sends env u =
 (* ---- unused exports ---- *)
 
 (* An export is used when a unit other than its own implementation names
-   it.  Units under test/ keep a value alive but classify it test-only;
-   the result is the error-tier findings plus per-library test-only
-   counts. *)
+   it.  One that no other unit names is an [unused-export]; one that only
+   units under test/ name is a [test-only-export], which the driver lets
+   the proto baseline grandfather. *)
 let unused_exports exports units =
   let callers =
     List.fold_left
@@ -633,30 +633,30 @@ let unused_exports exports units =
       SMap.empty units
   in
   let is_test path = String.length path > 5 && String.equal (String.sub path 0 5) "test/" in
-  let findings, test_only =
-    List.fold_left
-      (fun (findings, test_only) e ->
-        let own = Filename.remove_extension e.ex_path ^ ".ml" in
-        let qual = String.concat "." e.ex_qual in
-        let key = snd (last2 e.ex_qual) ^ "." ^ e.ex_name in
-        match
-          List.filter
-            (fun p -> not (String.equal p own))
-            (Option.value (SMap.find_opt key callers) ~default:[])
-        with
-        | [] ->
-            let f =
-              Finding.v ~rule:"unused-export" ~file:e.ex_path ~line:e.ex_line ~col:0
-                ~context:qual ~token:e.ex_name
-                (Printf.sprintf "%s.%s is exported but nothing outside %s names it; delete it"
-                   qual e.ex_name own)
-            in
-            (f :: findings, test_only)
-        | paths when List.for_all is_test paths ->
-            let lib = Option.value (lib_of_path e.ex_path) ~default:"-" in
-            let n = Option.value (SMap.find_opt lib test_only) ~default:0 in
-            (findings, SMap.add lib (n + 1) test_only)
-        | _ -> (findings, test_only))
-      ([], SMap.empty) exports
-  in
-  (findings, SMap.bindings test_only)
+  List.filter_map
+    (fun e ->
+      let own = Filename.remove_extension e.ex_path ^ ".ml" in
+      let qual = String.concat "." e.ex_qual in
+      let key = snd (last2 e.ex_qual) ^ "." ^ e.ex_name in
+      let finding rule message =
+        Some
+          (Finding.v ~rule ~file:e.ex_path ~line:e.ex_line ~col:0 ~context:qual ~token:e.ex_name
+             message)
+      in
+      match
+        List.filter
+          (fun p -> not (String.equal p own))
+          (Option.value (SMap.find_opt key callers) ~default:[])
+      with
+      | [] ->
+          finding "unused-export"
+            (Printf.sprintf "%s.%s is exported but nothing outside %s names it; delete it" qual
+               e.ex_name own)
+      | paths when List.for_all is_test paths ->
+          finding "test-only-export"
+            (Printf.sprintf
+               "%s.%s is exported but only test/ names it; give it a caller, stop exporting it, \
+                or baseline it under a reason"
+               qual e.ex_name)
+      | _ -> None)
+    exports

@@ -52,7 +52,7 @@ type send = {
 val collect_sends : env -> unit_info -> send list * Finding.t list
 (** All sends of a unit plus its [proto-escape] findings. *)
 
-val unused_exports :
-  export list -> unit_info list -> Finding.t list * (string * int) list
-(** [unused-export] findings for exports no other unit names, plus the
-    number of test-only exports (named only under [test/]) per library. *)
+val unused_exports : export list -> unit_info list -> Finding.t list
+(** [unused-export] findings for exports no other unit names and
+    [test-only-export] findings for exports only units under [test/]
+    name. *)

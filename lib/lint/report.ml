@@ -240,25 +240,31 @@ let of_layer (l : Layers.lib) =
       ("deps", Arr (List.map (fun d -> Str d) l.deps));
     ]
 
+(* Per-rule totals over the rules [tier] runs, shared with [Proto_report]. *)
+let rule_summary tier findings =
+  let count p = List.length (List.filter p findings) in
+  Obj
+    (List.filter_map
+       (fun (rule, family, t) ->
+         if t <> tier then None
+         else
+           Some
+             ( rule,
+               Obj
+                 [
+                   ("family", Str (Finding.family_name family));
+                   ( "total",
+                     Num (float_of_int (count (fun f -> String.equal f.Finding.rule rule))) );
+                   ( "active",
+                     Num
+                       (float_of_int
+                          (count (fun f ->
+                               String.equal f.Finding.rule rule && not f.Finding.baselined))) );
+                 ] ))
+       Finding.rules)
+
 let build ~root ~files_scanned ~layers ~findings ~stale_baseline =
   let active = List.filter (fun f -> not f.Finding.baselined) findings in
-  let by_rule =
-    List.map
-      (fun (rule, family) ->
-        let count p = List.length (List.filter p findings) in
-        ( rule,
-          Obj
-            [
-              ("family", Str (Finding.family_name family));
-              ("total", Num (float_of_int (count (fun f -> String.equal f.Finding.rule rule))));
-              ( "active",
-                Num
-                  (float_of_int
-                     (count (fun f ->
-                          String.equal f.Finding.rule rule && not f.Finding.baselined))) );
-            ] ))
-      Finding.rules
-  in
   let sorted_layers =
     List.sort
       (fun (a : Layers.lib) b ->
@@ -281,6 +287,6 @@ let build ~root ~files_scanned ~layers ~findings ~stale_baseline =
             ("active", Num (float_of_int (List.length active)));
             ("baselined", Num (float_of_int (List.length findings - List.length active)));
             ("stale_baseline", Num (float_of_int (List.length stale_baseline)));
-            ("rules", Obj by_rule);
+            ("rules", rule_summary Finding.Scan findings);
           ] );
     ]

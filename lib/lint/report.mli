@@ -26,6 +26,10 @@ val member : string -> json -> json option
 val of_finding : Finding.t -> json
 (** Shared with the proto-tier report ([Proto_report]). *)
 
+val rule_summary : Finding.tier -> Finding.t list -> json
+(** Total and active findings per rule, for the rules [tier] runs; shared
+    with [Proto_report]. *)
+
 val build :
   root:string ->
   files_scanned:int ->

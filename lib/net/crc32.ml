@@ -36,13 +36,6 @@ let t5 = tables.(5)
 let t6 = tables.(6)
 let t7 = tables.(7)
 
-let init = 0xffffffffl
-let finalize crc = Int32.logxor crc 0xffffffffl
-
-let update crc ch =
-  let c = Int32.to_int crc land 0xffffffff in
-  Int32.of_int ((c lsr 8) lxor t0.((c lxor Char.code ch) land 0xff))
-
 (* Bounds are the caller's responsibility; [pos, pos+len) must be valid. *)
 let digest_raw s pos len =
   let crc = ref 0xffffffff in
@@ -81,9 +74,5 @@ let digest_substring s ~pos ~len =
   if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Crc32.digest_substring";
   digest_raw s pos len
-
-let digest_sub b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.digest_sub";
-  digest_raw (Bytes.unsafe_to_string b) pos len
 
 let digest_string s = digest_raw s 0 (String.length s)

@@ -1,13 +1,8 @@
 type node_id = int
 
-type t = {
-  node_list : node_id list;
-  pick : src:node_id -> dst:node_id -> Link.t;
-  clusters : (node_id * int) list;  (** node -> cluster index, when meaningful *)
-}
+type t = { node_list : node_id list; pick : src:node_id -> dst:node_id -> Link.t }
 
 let nodes t = t.node_list
-let size t = List.length t.node_list
 let mem t id = List.mem id t.node_list
 
 let link t ~src ~dst =
@@ -17,7 +12,7 @@ let link t ~src ~dst =
 
 let full_mesh ~n link =
   if n <= 0 then invalid_arg "Topology.full_mesh: n must be positive";
-  { node_list = List.init n Fun.id; pick = (fun ~src:_ ~dst:_ -> link); clusters = [] }
+  { node_list = List.init n Fun.id; pick = (fun ~src:_ ~dst:_ -> link) }
 
 let clusters ~sizes ~local ~long_haul =
   if sizes = [] || List.exists (fun s -> s <= 0) sizes then
@@ -31,14 +26,13 @@ let clusters ~sizes ~local ~long_haul =
     let c1 = List.assoc src tagged and c2 = List.assoc dst tagged in
     if c1 = c2 then local else gateway_path
   in
-  { node_list = List.map fst tagged; pick; clusters = tagged }
+  { node_list = List.map fst tagged; pick }
 
 let star ~n ~hub ~spoke =
   if n <= 0 then invalid_arg "Topology.star: n must be positive";
   if hub < 0 || hub >= n then invalid_arg "Topology.star: hub out of range";
   let two_hop = Link.compose spoke spoke in
   let pick ~src ~dst = if src = hub || dst = hub then spoke else two_hop in
-  { node_list = List.init n Fun.id; pick; clusters = [] }
+  { node_list = List.init n Fun.id; pick }
 
-let custom ~nodes pick = { node_list = nodes; pick; clusters = [] }
-let cluster_of t id = List.assoc_opt id t.clusters
+let custom ~nodes pick = { node_list = nodes; pick }

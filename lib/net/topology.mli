@@ -11,13 +11,10 @@ type node_id = int
 type t
 
 val nodes : t -> node_id list
-val size : t -> int
 
 val link : t -> src:node_id -> dst:node_id -> Link.t
 (** Effective link for a pair.  A node talking to itself gets a perfect
     link.  @raise Invalid_argument for unknown nodes. *)
-
-val mem : t -> node_id -> bool
 
 (** {1 Builders} *)
 
@@ -34,6 +31,3 @@ val star : n:int -> hub:node_id -> spoke:Link.t -> t
 
 val custom : nodes:node_id list -> (src:node_id -> dst:node_id -> Link.t) -> t
 (** Arbitrary link function over an explicit node set. *)
-
-val cluster_of : t -> node_id -> int option
-(** For topologies built with {!clusters}: index of the node's cluster. *)

@@ -27,8 +27,5 @@ let stream_then_confirm ctx ~to_ ~items ~confirm ?(timeout = Clock.s 1) () =
   Runtime.remove_port ctx reply_port;
   outcome
 
-let delegate ctx ~to_ msg =
-  Runtime.send ctx ~to_ ?reply_to:msg.Message.reply_to msg.Message.command msg.Message.args
-
 let delegate_as ctx ~to_ ~command ~args msg =
   Runtime.send ctx ~to_ ?reply_to:msg.Message.reply_to command args

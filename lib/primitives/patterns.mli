@@ -41,14 +41,6 @@ val stream_then_confirm :
 
 (** {1 Pattern 3: delegated response} *)
 
-val delegate :
-  Dcp_core.Runtime.ctx -> to_:Port_name.t -> Dcp_core.Message.t -> unit
-(** Forward a request to another guardian *preserving its original reply
-    port*, so the response flows directly from the delegate to the original
-    requester — "the response will go directly from the flight guardian to
-    the original requesting process, bypassing the regional manager"
-    (§3.5). *)
-
 val delegate_as :
   Dcp_core.Runtime.ctx ->
   to_:Port_name.t ->
@@ -56,6 +48,10 @@ val delegate_as :
   args:Value.t list ->
   Dcp_core.Message.t ->
   unit
-(** Like {!delegate} but rewriting command and arguments (the regional
-    manager adds the passenger id it looked up, say) while still preserving
-    the original reply port. *)
+(** Forward a request to another guardian as [command args], *preserving
+    its original reply port*, so the response flows directly from the
+    delegate to the original requester — "the response will go directly
+    from the flight guardian to the original requesting process, bypassing
+    the regional manager" (§3.5).  The forwarder may rewrite the command
+    and arguments (the regional manager adds the passenger id it looked
+    up, say) or pass the message's own. *)

@@ -70,7 +70,7 @@ let default_budget = 32 * 1024
 let header_allowance = 96
 
 let value_size v =
-  match Codec.encoded_size v with Ok n -> n | Error _ -> max_int
+  match Result.map String.length (Codec.encode v) with Ok n -> n | Error _ -> max_int
 
 let entry_budget ~budget = Int.max 1 (budget - header_allowance)
 

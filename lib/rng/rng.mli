@@ -58,9 +58,7 @@ val choice : t -> 'a array -> 'a
 val choice_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is [k] distinct values from [\[0, n)],
-    in random order. Requires [0 <= k <= n]. *)
+    in random order (the first [k] of a Fisher–Yates shuffle). Requires
+    [0 <= k <= n]. *)

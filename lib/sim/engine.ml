@@ -40,8 +40,6 @@ let cancel timer =
     timer.owner.live <- timer.owner.live - 1
   end
 
-let is_cancelled timer = timer.cancelled
-
 (* [live] is kept exact by [schedule]/[cancel]/[step], so this is O(1);
    cancelled timers still occupy the heap until popped but are not counted. *)
 let pending t = t.live

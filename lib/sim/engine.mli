@@ -25,8 +25,6 @@ val schedule_after : t -> delay:Clock.time -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Cancelling an already-fired or already-cancelled timer is a no-op. *)
 
-val is_cancelled : timer -> bool
-
 val pending : t -> int
 (** Number of scheduled, uncancelled events. *)
 

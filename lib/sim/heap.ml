@@ -18,8 +18,6 @@ type 'a t = {
 }
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
-let length h = h.size
-let is_empty h = h.size = 0
 
 let grow h x =
   let capacity = Array.length h.data in
@@ -82,16 +80,6 @@ let pop h =
     if h.size > 0 then sift_down h 0 h.data.(h.size);
     Some top
   end
-
-let pop_exn h =
-  match pop h with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let of_list ~cmp l =
-  let h = create ~cmp in
-  List.iter (push h) l;
-  h
 
 let check_invariant h =
   let ok = ref true in

@@ -11,9 +11,6 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** [create ~cmp] is an empty heap ordered by [cmp] (minimum first). *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -21,11 +18,6 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
-
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
-
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 
 val check_invariant : 'a t -> bool
 (** [check_invariant h] is [true] iff every parent is <= its children.

@@ -41,12 +41,10 @@ val samples : histogram -> int
 val mean : histogram -> float
 (** 0. when empty. *)
 
-val hist_min : histogram -> float
-val hist_max : histogram -> float
-
 val quantile : histogram -> float -> float
 (** [quantile h q] for [q] in [0,1]; 0. when empty.  Approximate (bucket
-    midpoint), with relative error bounded by the bucket width (~5%). *)
+    midpoint clamped into the observed [\[min, max\]]), with relative
+    error bounded by the bucket width (~5%). *)
 
 val merge : registry list -> registry
 (** Merge registries into a fresh snapshot: counters sum, gauges keep the

@@ -234,9 +234,6 @@ let encode_with enc v =
       else Ok (Buffer.contents buf)
   | exception Codec_error e -> Error e
 
-let encode_with_exn enc v =
-  match encode_with enc v with Ok s -> s | Error e -> raise (Codec_error e)
-
 let encode ?config v = encode_with (encoder ?config ()) v
 
 let decode ?(config = default_config) s =
@@ -252,5 +249,3 @@ let encode_exn ?config v =
 
 let decode_exn ?config s =
   match decode ?config s with Ok v -> v | Error e -> raise (Codec_error e)
-
-let encoded_size ?config v = Result.map String.length (encode ?config v)

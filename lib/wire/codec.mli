@@ -26,8 +26,6 @@ val default_config : config
 val config_1979 : config
 (** The paper's flavour: 24-bit integers, 4 KiB strings, 64 KiB messages. *)
 
-val int_in_bounds : config -> int -> bool
-
 type error =
   | Int_out_of_bounds of int
   | String_too_long of int
@@ -58,14 +56,8 @@ val encode_with : encoder -> Value.t -> (string, error) result
     the returned string is built in [encoder]'s scratch buffer, which the
     next [encode_with] on the same handle reuses. *)
 
-val encode_with_exn : encoder -> Value.t -> string
-(** @raise Codec_error *)
-
 val encode_exn : ?config:config -> Value.t -> string
 (** @raise Codec_error *)
 
 val decode_exn : ?config:config -> string -> Value.t
 (** @raise Codec_error *)
-
-val encoded_size : ?config:config -> Value.t -> (int, error) result
-(** Size of the encoding without materialising it. *)

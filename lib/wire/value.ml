@@ -90,13 +90,10 @@ let mismatch expected v = raise (Type_mismatch (expected ^ " expected, got " ^ t
 
 let get_bool = function Bool b -> b | v -> mismatch "bool" v
 let get_int = function Int i -> i | v -> mismatch "int" v
-let get_real = function Real r -> r | v -> mismatch "real" v
 let get_str = function Str s -> s | v -> mismatch "string" v
 let get_list = function Listv l -> l | v -> mismatch "list" v
 let get_option = function Option o -> o | v -> mismatch "option" v
 let get_port = function Portv p -> p | v -> mismatch "port" v
-let get_token = function Tokenv tok -> tok | v -> mismatch "token" v
-let get_named = function Named (name, v) -> (name, v) | v -> mismatch "named" v
 
 let field v name =
   match v with

@@ -27,7 +27,7 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val size : t -> int
-(** Approximate in-memory footprint in bytes, used for buffer accounting. *)
+(** Approximate in-memory footprint in bytes. *)
 
 val depth : t -> int
 
@@ -50,13 +50,10 @@ exception Type_mismatch of string
 
 val get_bool : t -> bool
 val get_int : t -> int
-val get_real : t -> float
 val get_str : t -> string
 val get_list : t -> t list
 val get_option : t -> t option
 val get_port : t -> Port_name.t
-val get_token : t -> Token.t
-val get_named : t -> string * t
 
 val field : t -> string -> t
 (** [field v name] extracts a record field. @raise Type_mismatch otherwise. *)

@@ -11,6 +11,14 @@ module Check = Dcp_check
 module Scenario = Dcp_check.Scenario
 module Scenarios = Dcp_check.Scenarios
 
+let scenario name =
+  match Scenarios.find name with
+  | Some s -> s
+  | None -> Alcotest.failf "unknown scenario %s" name
+
+(* A named outcome stat, 0 when absent. *)
+let stat_of outcome name = Option.value (List.assoc_opt name outcome.Scenario.stats) ~default:0
+
 let profile name =
   match Check.Profile.find name with
   | Some p -> p
@@ -26,51 +34,51 @@ let check_point scenario ~seed ~profile:pname ~stat ~at_least =
   | Some reason ->
       Alcotest.failf "%s seed=%d profile=%s: %s (replay: dune exec bin/dcp_check.exe -- run --scenario %s --seed %d --profile %s)"
         scenario.Scenario.name seed pname reason scenario.Scenario.name seed pname);
-  let progress = Scenario.stat outcome stat in
+  let progress = stat_of outcome stat in
   Alcotest.(check bool)
     (Printf.sprintf "made progress (%s=%d, need >%d)" stat progress at_least)
     true (progress > at_least)
 
 let test_airline_chaos () =
-  check_point Scenarios.airline ~seed:1001 ~profile:"lan+crash" ~stat:"requests_ok" ~at_least:50
+  check_point (scenario "airline") ~seed:1001 ~profile:"lan+crash" ~stat:"requests_ok" ~at_least:50
 
 let test_bank_chaos () =
-  check_point Scenarios.bank ~seed:1003 ~profile:"lan+crash" ~stat:"transfers_ok" ~at_least:10
+  check_point (scenario "bank") ~seed:1003 ~profile:"lan+crash" ~stat:"transfers_ok" ~at_least:10
 
 let test_itinerary_chaos () =
-  check_point Scenarios.itinerary ~seed:1005 ~profile:"lan+crash" ~stat:"booked" ~at_least:0
+  check_point (scenario "itinerary") ~seed:1005 ~profile:"lan+crash" ~stat:"booked" ~at_least:0
 
 (* The lossy end of the matrix: loss, duplication and corruption on top of
    crash churn.  One fixed seed per scenario keeps runtest bounded; the
    sweep covers breadth. *)
 let test_bank_lossy () =
-  check_point Scenarios.bank ~seed:7 ~profile:"lossy+crash" ~stat:"transfers_ok" ~at_least:5
+  check_point (scenario "bank") ~seed:7 ~profile:"lossy+crash" ~stat:"transfers_ok" ~at_least:5
 
 let test_itinerary_lossy () =
-  check_point Scenarios.itinerary ~seed:26 ~profile:"lossy+crash" ~stat:"outcomes" ~at_least:0
+  check_point (scenario "itinerary") ~seed:26 ~profile:"lossy+crash" ~stat:"outcomes" ~at_least:0
 
 (* Replica anti-entropy: the convergence + byte-budget oracles at two fixed
    points on the loss matrix, including the harshest profile (wan latency,
    5% loss, crash churn).  The "keys" floor rejects vacuous convergence on
    empty tables. *)
 let test_replica_wan_lossy_crash () =
-  check_point Scenarios.replica ~seed:11 ~profile:"wan+lossy+crash" ~stat:"keys" ~at_least:100
+  check_point (scenario "replica") ~seed:11 ~profile:"wan+lossy+crash" ~stat:"keys" ~at_least:100
 
 let test_replica_lossy () =
-  check_point Scenarios.replica ~seed:23 ~profile:"lossy+crash" ~stat:"keys" ~at_least:100
+  check_point (scenario "replica") ~seed:23 ~profile:"lossy+crash" ~stat:"keys" ~at_least:100
 
 (* SCD registers and snapshots at the harsh end of the matrix: the
    linearizability and table-convergence oracles under wan latency, 5%
    loss and crash churn.  The ops_ok floors reject runs where every client
    call timed out and the history checks vacuously. *)
 let test_register_wan_lossy_crash () =
-  check_point Scenarios.register ~seed:3 ~profile:"wan+lossy+crash" ~stat:"ops_ok" ~at_least:20
+  check_point (scenario "register") ~seed:3 ~profile:"wan+lossy+crash" ~stat:"ops_ok" ~at_least:20
 
 let test_register_lossy () =
-  check_point Scenarios.register ~seed:14 ~profile:"lossy+crash" ~stat:"ops_ok" ~at_least:20
+  check_point (scenario "register") ~seed:14 ~profile:"lossy+crash" ~stat:"ops_ok" ~at_least:20
 
 let test_snapshot_wan_lossy_crash () =
-  check_point Scenarios.snapshot ~seed:2 ~profile:"wan+lossy+crash" ~stat:"ops_ok" ~at_least:8
+  check_point (scenario "snapshot") ~seed:2 ~profile:"wan+lossy+crash" ~stat:"ops_ok" ~at_least:8
 
 (* The disk axis of the matrix: flaky disks (bit rot, torn writes, dropped
    un-flushed tails, stalls) under a crash schedule whose outage exceeds
@@ -80,10 +88,10 @@ let test_snapshot_wan_lossy_crash () =
    checkpoint fallback or dropped tail) — a damage-free run would pass
    vacuously. *)
 let damage outcome =
-  Scenario.stat outcome "stable_salvaged"
-  + Scenario.stat outcome "stable_quarantined"
-  + Scenario.stat outcome "stable_ckpt_fallbacks"
-  + Scenario.stat outcome "stable_dropped_unflushed"
+  stat_of outcome "stable_salvaged"
+  + stat_of outcome "stable_quarantined"
+  + stat_of outcome "stable_ckpt_fallbacks"
+  + stat_of outcome "stable_dropped_unflushed"
 
 let check_disk_point scenario ~seed ~profile:p ~pname ~stat ~at_least =
   let outcome = Scenario.execute scenario ~seed ~profile:p () in
@@ -91,7 +99,7 @@ let check_disk_point scenario ~seed ~profile:p ~pname ~stat ~at_least =
   | None -> ()
   | Some reason ->
       Alcotest.failf "%s seed=%d profile=%s: %s" scenario.Scenario.name seed pname reason);
-  let progress = Scenario.stat outcome stat in
+  let progress = stat_of outcome stat in
   Alcotest.(check bool)
     (Printf.sprintf "made progress (%s=%d, need >%d)" stat progress at_least)
     true (progress > at_least);
@@ -101,27 +109,27 @@ let check_disk_named scenario ~seed ~profile:pname ~stat ~at_least =
   check_disk_point scenario ~seed ~profile:(profile pname) ~pname ~stat ~at_least
 
 let test_bank_disk () =
-  check_disk_named Scenarios.bank ~seed:1001 ~profile:"lan+crash+disk" ~stat:"transfers_ok"
+  check_disk_named (scenario "bank") ~seed:1001 ~profile:"lan+crash+disk" ~stat:"transfers_ok"
     ~at_least:10
 
 let test_itinerary_disk () =
-  check_disk_named Scenarios.itinerary ~seed:1005 ~profile:"wan+lossy+crash+disk" ~stat:"booked"
+  check_disk_named (scenario "itinerary") ~seed:1005 ~profile:"wan+lossy+crash+disk" ~stat:"booked"
     ~at_least:0
 
 let test_replica_disk () =
-  check_disk_named Scenarios.replica ~seed:1001 ~profile:"wan+lossy+crash+disk" ~stat:"keys"
+  check_disk_named (scenario "replica") ~seed:1001 ~profile:"wan+lossy+crash+disk" ~stat:"keys"
     ~at_least:100
 
 let test_register_disk () =
-  check_disk_named Scenarios.register ~seed:1001 ~profile:"wan+lossy+crash+disk" ~stat:"ops_ok"
+  check_disk_named (scenario "register") ~seed:1001 ~profile:"wan+lossy+crash+disk" ~stat:"ops_ok"
     ~at_least:20
 
 let test_snapshot_disk () =
-  check_disk_named Scenarios.snapshot ~seed:1003 ~profile:"wan+lossy+crash+disk" ~stat:"ops_ok"
+  check_disk_named (scenario "snapshot") ~seed:1003 ~profile:"wan+lossy+crash+disk" ~stat:"ops_ok"
     ~at_least:8
 
 let test_airline_disk () =
-  check_disk_named Scenarios.airline ~seed:1001 ~profile:"lan+crash+disk" ~stat:"requests_ok"
+  check_disk_named (scenario "airline") ~seed:1001 ~profile:"lan+crash+disk" ~stat:"requests_ok"
     ~at_least:50
 
 (* Quarantine recovery: the hostile spec destroys both copies of a rotted
@@ -135,7 +143,7 @@ let test_replica_hostile_quarantine () =
   let hostile =
     { base with Check.Profile.disk = Some Dcp_stable.Disk.hostile }
   in
-  check_disk_point Scenarios.replica ~seed:1002 ~profile:hostile
+  check_disk_point (scenario "replica") ~seed:1002 ~profile:hostile
     ~pname:"wan+lossy+crash+disk(hostile)" ~stat:"keys" ~at_least:100
 
 let tests =

@@ -17,12 +17,17 @@ let profile name =
   | Some p -> p
   | None -> Alcotest.failf "unknown profile %s" name
 
+let scenario name =
+  match Check.Scenarios.find name with
+  | Some s -> s
+  | None -> Alcotest.failf "unknown scenario %s" name
+
 (* A calm profile keeps these tests fast; the mutation is detectable in any
    execution where at least one transfer commits. *)
 let calm = profile "lan"
 
 let test_mutation_detected () =
-  let outcome = Check.Scenario.execute Check.Scenarios.bank_mutated ~seed:1 ~profile:calm () in
+  let outcome = Check.Scenario.execute (scenario "bank_mutated") ~seed:1 ~profile:calm () in
   match Check.Scenario.fail_reason outcome with
   | None -> Alcotest.fail "mutated bank model passed the oracles: the checker is blind"
   | Some reason ->
@@ -33,13 +38,13 @@ let test_mutation_detected () =
 let test_honest_twin_passes () =
   (* Same seed, same profile, honest model: the failure above is the
      mutation's doing, not scenario noise. *)
-  let outcome = Check.Scenario.execute Check.Scenarios.bank ~seed:1 ~profile:calm () in
+  let outcome = Check.Scenario.execute (scenario "bank") ~seed:1 ~profile:calm () in
   match Check.Scenario.fail_reason outcome with
   | None -> ()
   | Some reason -> Alcotest.failf "honest bank scenario failed: %s" reason
 
 let test_mutation_shrinks () =
-  match Check.Shrink.run Check.Scenarios.bank_mutated ~seed:1 ~profile:calm ~budget:40 () with
+  match Check.Shrink.run (scenario "bank_mutated") ~seed:1 ~profile:calm ~budget:40 () with
   | Error e -> Alcotest.failf "nothing to shrink: %s" e
   | Ok cx ->
       Alcotest.(check bool) "some shrink step accepted" true (cx.Check.Shrink.accepted > 0);
@@ -48,7 +53,7 @@ let test_mutation_shrinks () =
       (* The minimal point must itself replay to a failure — a shrinker
          that reports a passing configuration is lying. *)
       let replay =
-        Check.Scenario.execute Check.Scenarios.bank_mutated ~seed:cx.Check.Shrink.seed
+        Check.Scenario.execute (scenario "bank_mutated") ~seed:cx.Check.Shrink.seed
           ~profile:(profile cx.Check.Shrink.profile)
           ~horizon:cx.Check.Shrink.horizon ~workload:cx.Check.Shrink.workload
           ~intensity:cx.Check.Shrink.intensity ()
@@ -56,16 +61,17 @@ let test_mutation_shrinks () =
       (match Check.Scenario.fail_reason replay with
       | Some _ -> ()
       | None -> Alcotest.fail "shrunk counterexample does not reproduce");
-      let hint = Check.Shrink.replay_hint cx in
+      (* the rendered counterexample ends in its dcp_check replay command *)
+      let rendered = Format.asprintf "%a" Check.Shrink.pp cx in
       Alcotest.(check bool)
         "replay hint names the scenario" true
-        (contains ~affix:"bank_mutated" hint)
+        (contains ~affix:"--scenario bank_mutated" rendered)
 
 let test_sweep_deterministic_failures () =
   (* A sweep with a non-empty failure set must report the identical
      (profile, seed, reason) list on a second run. *)
   let sweep () =
-    Check.Sweep.run Check.Scenarios.bank_mutated ~profiles:[ calm ] ~seed_base:1 ~seeds:5
+    Check.Sweep.run (scenario "bank_mutated") ~profiles:[ calm ] ~seed_base:1 ~seeds:5
   in
   let a = sweep () and b = sweep () in
   Alcotest.(check bool) "failures found" true (a.Check.Sweep.failures <> []);
@@ -77,7 +83,9 @@ let test_sweep_deterministic_failures () =
   Alcotest.(check (list (triple string int string))) "identical failure sets" (strip a) (strip b)
 
 let test_outcome_fingerprint_deterministic () =
-  let run () = Check.Scenario.execute Check.Scenarios.bank ~seed:42 ~profile:(profile "wan+crash") () in
+  let run () =
+    Check.Scenario.execute (scenario "bank") ~seed:42 ~profile:(profile "wan+crash") ()
+  in
   let a = run () and b = run () in
   Alcotest.(check string) "fingerprints agree" a.Check.Scenario.fingerprint b.Check.Scenario.fingerprint;
   Alcotest.(check bool) "verdicts agree"
@@ -89,7 +97,7 @@ let test_replica_fingerprint_deterministic () =
      params must yield bit-identical fingerprints (the sweep determinism
      surface for the new scenario). *)
   let run () =
-    Check.Scenario.execute Check.Scenarios.replica ~seed:9 ~profile:(profile "wan+lossy+crash")
+    Check.Scenario.execute (scenario "replica") ~seed:9 ~profile:(profile "wan+lossy+crash")
       ~horizon:(Clock.s 2) ~workload:40 ()
   in
   let a = run () and b = run () in
@@ -99,7 +107,7 @@ let test_replica_fingerprint_deterministic () =
   | None -> ()
   | Some reason -> Alcotest.failf "replica scenario failed: %s" reason);
   Alcotest.(check bool) "convergence was measured" true
-    (Check.Scenario.stat a "convergence_ms" >= 0)
+    (Option.value (List.assoc_opt "convergence_ms" a.Check.Scenario.stats) ~default:0 >= 0)
 
 (* Rpc, Ordered and Two_phase ids come from each world's mint, so a run is
    pure across a process (DESIGN §8): after 30 other airline worlds, the
@@ -109,9 +117,9 @@ let test_replica_fingerprint_deterministic () =
 let test_airline_pure_across_process () =
   let wan_crash = profile "wan+crash" in
   for seed = 2 to 31 do
-    ignore (Check.Scenario.execute Check.Scenarios.airline ~seed ~profile:wan_crash ())
+    ignore (Check.Scenario.execute (scenario "airline") ~seed ~profile:wan_crash ())
   done;
-  let outcome = Check.Scenario.execute Check.Scenarios.airline ~seed:1 ~profile:wan_crash () in
+  let outcome = Check.Scenario.execute (scenario "airline") ~seed:1 ~profile:wan_crash () in
   Alcotest.(check string) "fresh-process fingerprint"
     "ev=9692 sent=270 lost=2 ok=981 failed=3 tx=239" outcome.Check.Scenario.fingerprint
 

@@ -19,9 +19,10 @@ let test_semaphore_counts () =
   for i = 1 to 4 do
     ignore
       (Process.spawn e ~name:(string_of_int i) (fun () ->
-           Sync.with_unit s (fun () ->
-               Process.sleep e (Clock.ms 10);
-               finished := (i, Engine.now e) :: !finished)))
+           Sync.acquire s;
+           Process.sleep e (Clock.ms 10);
+           finished := (i, Engine.now e) :: !finished;
+           Sync.release s))
   done;
   Engine.run e;
   (* 4 jobs, 2 units, 10ms each: two waves, finishing at 10 and 20. *)

@@ -199,13 +199,27 @@ let test_port_timeout_then_late_message_stays () =
   Alcotest.(check string) "timed out" "timeout" !outcome;
   Alcotest.(check int) "late message buffered for next receive" 1 (Port.queued p)
 
+(* A zero timeout is the non-blocking poll. *)
 let test_try_receive () =
+  let e = Engine.create () in
   let p = mk_port () in
-  Alcotest.(check bool) "empty" true (Port.try_receive ~ports:[ p ] = None);
-  ignore (Port.enqueue p (msg "x"));
-  match Port.try_receive ~ports:[ p ] with
-  | Some (_, m) -> Alcotest.(check string) "popped" "x" m.Message.command
-  | None -> Alcotest.fail "expected message"
+  let poll () =
+    match Port.receive e ~ports:[ p ] ~timeout:(Some 0) with
+    | `Msg (_, m) -> Some m.Message.command
+    | `Timeout -> None
+  in
+  let polled = ref [] in
+  ignore
+    (Process.spawn e ~name:"poller" (fun () ->
+         let empty = poll () in
+         ignore (Port.enqueue p (msg "x"));
+         polled := [ empty; poll () ]));
+  Engine.run e;
+  match !polled with
+  | [ empty; popped ] ->
+      Alcotest.(check (option string)) "empty" None empty;
+      Alcotest.(check (option string)) "popped" (Some "x") popped
+  | _ -> Alcotest.fail "poller did not finish"
 
 (* ---- Sync ---- *)
 
@@ -225,7 +239,8 @@ let test_mutex_exclusion () =
   done;
   Engine.run e;
   Alcotest.(check int) "never two inside" 1 !max_seen;
-  Alcotest.(check bool) "released at end" false (Sync.locked m)
+  Alcotest.check_raises "released at end" (Invalid_argument "Sync.unlock: mutex not held")
+    (fun () -> Sync.unlock m)
 
 let test_mutex_unlock_unheld () =
   let e = Engine.create () in

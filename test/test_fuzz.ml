@@ -12,6 +12,11 @@ module Rng = Dcp_rng.Rng
 module Scenario = Dcp_check.Scenario
 module Scenarios = Dcp_check.Scenarios
 
+let scenario name =
+  match Scenarios.find name with
+  | Some s -> s
+  | None -> Alcotest.failf "unknown scenario %s" name
+
 (* ---- determinism ----
 
    Determinism is the replay contract of the whole checking harness:
@@ -22,7 +27,8 @@ module Scenarios = Dcp_check.Scenarios
 
 let scenario_fingerprint ~seed =
   let profile = Option.get (Dcp_check.Profile.find "wan+crash") in
-  (Scenario.execute Scenarios.airline ~seed ~profile ~horizon:(Clock.s 10) ()).Scenario.fingerprint
+  (Scenario.execute (scenario "airline") ~seed ~profile ~horizon:(Clock.s 10) ())
+    .Scenario.fingerprint
 
 let test_same_seed_same_world () =
   let a = scenario_fingerprint ~seed:97 in

@@ -6,6 +6,10 @@
    reads after an acknowledged write, new/old inversions). *)
 
 module L = Dcp_check.Linearize
+module Runtime = Dcp_core.Runtime
+module Store = Dcp_stable.Store
+module Topology = Dcp_net.Topology
+module Link = Dcp_net.Link
 
 let ev ?reply ~client ~inv ~resp op = { L.client; op; reply; inv; resp }
 let w ?reply ~client ~inv ~resp key v = ev ?reply ~client ~inv ~resp (L.Write (key, v))
@@ -192,16 +196,33 @@ let test_encode_roundtrip () =
       s ~client:1 ~inv:3 ~resp:max_int ();
     ]
   in
-  List.iter
-    (fun e ->
-      match L.decode_event (L.encode_event e) with
-      | Some e' ->
-          Alcotest.(check string)
-            "roundtrip preserves the event" (L.encode_event e) (L.encode_event e');
-          Alcotest.(check bool) "decoded equals original" true (e = e')
-      | None -> Alcotest.failf "roundtrip lost event %s" (L.encode_event e))
-    events;
-  Alcotest.(check bool) "garbage does not decode" true (L.decode_event "w not an event" = None)
+  (* Round-trip through the public capture path: a guardian records every
+     event into its store, and the oracle reads them back. *)
+  let world =
+    Runtime.create_world ~seed:1 ~topology:(Topology.full_mesh ~n:1 Link.perfect) ()
+  in
+  let captured = ref None in
+  Runtime.register_def world
+    {
+      Runtime.def_name = "history_recorder";
+      provides = [];
+      init =
+        (fun ctx _ ->
+          List.iteri (fun seq e -> L.record ctx ~seq e) events;
+          captured := Some (Runtime.store ctx));
+      recover = None;
+    };
+  ignore (Runtime.create_guardian world ~at:0 ~def_name:"history_recorder" ~args:[]);
+  Runtime.run world;
+  match !captured with
+  | None -> Alcotest.fail "recorder never ran"
+  | Some store ->
+      let decoded = L.events_in_store store in
+      Alcotest.(check int) "roundtrip preserves the event" (List.length events)
+        (List.length decoded);
+      Alcotest.(check bool) "decoded equals original" true (decoded = events);
+      Store.set store ~key:"h:999999" "w not an event";
+      Alcotest.(check bool) "garbage does not decode" true (L.events_in_store store = events)
 
 let tests =
   [

@@ -33,8 +33,9 @@ let test_topology_custom () =
   in
   Alcotest.(check bool) "asymmetric links allowed" true
     (Topology.link t ~src:10 ~dst:20 <> Topology.link t ~src:20 ~dst:10);
-  Alcotest.(check bool) "membership" true (Topology.mem t 20);
-  Alcotest.(check bool) "non-member" false (Topology.mem t 30)
+  Alcotest.(check bool) "membership" true (Topology.link t ~src:20 ~dst:20 = Link.perfect);
+  Alcotest.check_raises "non-member" (Invalid_argument "Topology.link: unknown destination node")
+    (fun () -> ignore (Topology.link t ~src:10 ~dst:30))
 
 let test_port_name_rendering_and_order () =
   let a = Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:4 in
@@ -64,18 +65,21 @@ let test_vtype_port_type_rendering () =
     (Format.asprintf "%a" Vtype.pp_port_type pt)
 
 let test_codec_1979_config_shape () =
-  Alcotest.(check bool) "24-bit max in" true (Codec.int_in_bounds Codec.config_1979 8_388_607);
-  Alcotest.(check bool) "24-bit min in" true (Codec.int_in_bounds Codec.config_1979 (-8_388_608));
-  Alcotest.(check bool) "63-bit config accepts max_int" true
-    (Codec.int_in_bounds Codec.default_config max_int)
+  let fits config i = Result.is_ok (Codec.encode ~config (Value.int i)) in
+  Alcotest.(check bool) "24-bit max in" true (fits Codec.config_1979 8_388_607);
+  Alcotest.(check bool) "24-bit min in" true (fits Codec.config_1979 (-8_388_608));
+  Alcotest.(check bool) "63-bit config accepts max_int" true (fits Codec.default_config max_int)
 
 let test_value_token_port_accessors () =
   let p = Port_name.make ~node:0 ~guardian:1 ~index:0 ~uid:2 in
   let tok = Token.seal ~secret:9L ~owner:1 ~obj:5 in
   Alcotest.(check bool) "port roundtrip" true (Port_name.equal p (Value.get_port (Value.port p)));
-  Alcotest.(check bool) "token roundtrip" true (Token.equal tok (Value.get_token (Value.token tok)));
-  Alcotest.(check bool) "named accessor" true
-    (Value.get_named (Value.Named ("t", Value.unit)) = ("t", Value.Unit))
+  Alcotest.(check bool) "token roundtrip" true
+    (match Value.token tok with Value.Tokenv t -> Token.equal tok t | _ -> false);
+  Alcotest.(check bool) "named payload" true
+    (match Value.Named ("t", Value.unit) with
+    | Value.Named (name, v) -> String.equal name "t" && Value.equal v Value.Unit
+    | _ -> false)
 
 let tests =
   [

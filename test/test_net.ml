@@ -55,17 +55,6 @@ let test_crc_substring () =
   Alcotest.check_raises "out of bounds" (Invalid_argument "Crc32.digest_substring") (fun () ->
       ignore (Crc32.digest_substring s ~pos:5 ~len:5))
 
-let test_crc_incremental_matches () =
-  let s = "the quick brown fox" in
-  let incremental =
-    Crc32.finalize (String.fold_left Crc32.update Crc32.init s)
-  in
-  Alcotest.(check int32) "incremental = one-shot" (Crc32.digest_string s) incremental
-
-let test_crc_sub () =
-  let b = Bytes.of_string "xxhelloxx" in
-  Alcotest.(check int32) "slice" (Crc32.digest_string "hello") (Crc32.digest_sub b ~pos:2 ~len:5)
-
 let prop_crc_detects_single_bitflip =
   QCheck2.Test.make ~name:"CRC detects any single bit flip" ~count:300
     QCheck2.Gen.(pair (string_size (int_range 1 100)) (pair nat nat))
@@ -234,7 +223,7 @@ let test_link_compose () =
 
 let test_topology_full_mesh () =
   let t = Topology.full_mesh ~n:4 Link.lan in
-  Alcotest.(check int) "size" 4 (Topology.size t);
+  Alcotest.(check int) "size" 4 (List.length (Topology.nodes t));
   Alcotest.(check bool) "self link perfect" true
     (Topology.link t ~src:2 ~dst:2 = Link.perfect);
   Alcotest.(check bool) "cross link is lan" true (Topology.link t ~src:0 ~dst:3 = Link.lan)
@@ -247,9 +236,11 @@ let test_topology_unknown_node () =
 
 let test_topology_clusters () =
   let t = Topology.clusters ~sizes:[ 2; 2 ] ~local:Link.lan ~long_haul:Link.wan in
-  Alcotest.(check int) "four nodes" 4 (Topology.size t);
-  Alcotest.(check (option int)) "node 0 cluster" (Some 0) (Topology.cluster_of t 0);
-  Alcotest.(check (option int)) "node 3 cluster" (Some 1) (Topology.cluster_of t 3);
+  Alcotest.(check int) "four nodes" 4 (List.length (Topology.nodes t));
+  (* cluster membership shows in the links: same cluster means the local link *)
+  let same_cluster a b = Topology.link t ~src:a ~dst:b = Link.lan in
+  Alcotest.(check bool) "node 0 cluster" true (same_cluster 0 1 && not (same_cluster 0 2));
+  Alcotest.(check bool) "node 3 cluster" true (same_cluster 2 3 && not (same_cluster 1 3));
   let intra = Topology.link t ~src:0 ~dst:1 in
   let inter = Topology.link t ~src:0 ~dst:2 in
   Alcotest.(check bool) "intra is lan" true (intra = Link.lan);
@@ -366,8 +357,6 @@ let tests =
     Alcotest.test_case "CRC known vectors" `Quick test_crc_known_vectors;
     Alcotest.test_case "CRC slicing vs reference" `Quick test_crc_slicing_matches_reference;
     QCheck_alcotest.to_alcotest prop_crc_slicing_matches_reference;
-    Alcotest.test_case "CRC incremental" `Quick test_crc_incremental_matches;
-    Alcotest.test_case "CRC slice" `Quick test_crc_sub;
     Alcotest.test_case "CRC substring" `Quick test_crc_substring;
     QCheck_alcotest.to_alcotest prop_crc_detects_single_bitflip;
     Alcotest.test_case "fragment roundtrip" `Quick test_fragment_roundtrip;

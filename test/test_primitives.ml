@@ -270,7 +270,8 @@ let test_pattern_delegate () =
   in
   let broker =
     rpc_server world ~at:1 ~name:"broker" (fun ctx msg ->
-        Patterns.delegate ctx ~to_:worker msg)
+        Patterns.delegate_as ctx ~to_:worker ~command:msg.Message.command
+          ~args:msg.Message.args msg)
   in
   let got = ref None in
   driver world ~at:0 (fun ctx ->

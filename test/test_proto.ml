@@ -6,7 +6,6 @@
 module Finding = Dcp_lint.Finding
 module Baseline = Dcp_lint.Baseline
 module Report = Dcp_lint.Report
-module Proto_report = Dcp_lint.Proto_report
 module Proto_driver = Dcp_lint.Proto_driver
 
 let read_file path =
@@ -64,9 +63,9 @@ let test_escape_helper () =
 let test_clean () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
   Alcotest.(check (list string)) "zero findings" []
-    (List.map Finding.to_string o.Proto_driver.findings);
+    (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.findings);
   Alcotest.(check (list string)) "zero warnings" []
-    (List.map Finding.to_string o.Proto_driver.warnings)
+    (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.warnings)
 
 let test_dot_export () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
@@ -85,46 +84,73 @@ let test_dot_export () =
    and nested exports, plus a module type whose body is not an export;
    bin/ names values qualified and under [open], test/ the test-only one
    through a module alias, and the unit's own uses do not count. *)
+let widget_units ~test_source =
+  [
+    ( "lib/demo/widget.mli",
+      "val used : int -> int\nval opened : int\nval unused : int\nval probe : unit -> unit\n\
+       module Inner : sig val deep : int val shallow : int end\n\
+       module type S = sig val skipped : int end\n" );
+    ( "lib/demo/widget.ml",
+      "let used x = x + 1\nlet opened = 2\nlet unused = used 0\nlet probe () = ()\n\
+       module Inner = struct let deep = 1 let shallow = unused end\n\
+       module type S = sig val skipped : int end\n" );
+    ( "bin/app.ml",
+      "let () = print_int (Widget.used 1)\nopen Widget\nlet _ = opened + Inner.deep\n" );
+    ("test/test_widget.ml", test_source);
+  ]
+
+let flagged ~rule findings =
+  List.filter_map
+    (fun f ->
+      if String.equal f.Finding.rule rule then Some (f.Finding.context ^ "." ^ f.Finding.token)
+      else None)
+    findings
+
+(* The rule's count in the report's [summary.rules]. *)
+let rule_total (o : Proto_driver.outcome) rule =
+  match
+    Option.bind (Report.member "summary" o.Proto_driver.report) (fun s ->
+        Option.bind (Report.member "rules" s) (fun r ->
+            Option.bind (Report.member rule r) (Report.member "total")))
+  with
+  | Some (Report.Num n) -> int_of_float n
+  | _ -> Alcotest.failf "summary.rules[%s].total missing" rule
+
 let test_unused_export () =
-  let units =
-    [
-      ( "lib/demo/widget.mli",
-        "val used : int -> int\nval opened : int\nval unused : int\nval probe : unit -> unit\n\
-         module Inner : sig val deep : int val shallow : int end\n\
-         module type S = sig val skipped : int end\n" );
-      ( "lib/demo/widget.ml",
-        "let used x = x + 1\nlet opened = 2\nlet unused = used 0\nlet probe () = ()\n\
-         module Inner = struct let deep = 1 let shallow = unused end\n\
-         module type S = sig val skipped : int end\n" );
-      ( "bin/app.ml",
-        "let () = print_int (Widget.used 1)\nopen Widget\nlet _ = opened + Inner.deep\n" );
-      ("test/test_widget.ml", "module W = Widget\nlet () = W.probe ()\n");
-    ]
-  in
+  let units = widget_units ~test_source:"module W = Widget\nlet () = W.probe ()\n" in
   let o = Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ()) in
-  let flagged =
-    List.filter_map
-      (fun f ->
-        if String.equal f.Finding.rule "unused-export" then
-          Some (f.Finding.context ^ "." ^ f.Finding.token)
-        else None)
-      o.Proto_driver.active
-  in
   Alcotest.(check (list string))
-    "only the unused values" [ "Widget.unused"; "Widget.Inner.shallow" ] flagged;
-  (* Baselining an unused export does not hide it: the entry goes stale. *)
+    "only the unused values" [ "Widget.unused"; "Widget.Inner.shallow" ]
+    (flagged ~rule:"unused-export" o.Proto_driver.active);
+  (* A value only test/ names is exactly one test-only-export finding. *)
+  Alcotest.(check (list string))
+    "probe is test-only" [ "Widget.probe" ]
+    (flagged ~rule:"test-only-export" o.Proto_driver.active);
+  Alcotest.(check int) "the report counts it" 1 (rule_total o "test-only-export");
+  (* Baselining an unused export does not hide it: the entry goes stale.
+     Baselining the test-only one does. *)
   let path = Filename.temp_file "proto_baseline" ".txt" in
   Baseline.save ~path o.Proto_driver.findings;
   let again = Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.load ~path) in
+  Alcotest.(check (list string))
+    "baselined unused ones stay active" [ "Widget.unused"; "Widget.Inner.shallow" ]
+    (flagged ~rule:"unused-export" again.Proto_driver.active);
+  Alcotest.(check (list string))
+    "the baselined test-only one is inactive" []
+    (flagged ~rule:"test-only-export" again.Proto_driver.active);
+  Alcotest.(check int) "the unused ones' entries are stale" 2
+    (List.length again.Proto_driver.stale_baseline);
+  (* Dropping the test's use turns probe into an unused export, which the
+     baseline cannot hide, and leaves its test-only entry stale. *)
+  let unused_now = widget_units ~test_source:"let () = ()\n" in
+  let dropped = Proto_driver.analyze ~root:"." ~units:unused_now ~baseline:(Baseline.load ~path) in
   Sys.remove path;
-  Alcotest.(check int) "baselined ones stay active" 2 (List.length again.Proto_driver.active);
-  Alcotest.(check int) "their entries are stale" 2 (List.length again.Proto_driver.stale_baseline);
-  let summary = Report.member "summary" o.Proto_driver.report in
-  match Option.bind summary (Report.member "test_only_exports") with
-  | Some counts ->
-      Alcotest.(check bool) "probe is test-only" true
-        (Report.member "demo" counts = Some (Report.Num 1.))
-  | None -> Alcotest.fail "summary.test_only_exports missing"
+  Alcotest.(check (list string))
+    "probe is now unused" [ "Widget.unused"; "Widget.probe"; "Widget.Inner.shallow" ]
+    (flagged ~rule:"unused-export" dropped.Proto_driver.active);
+  Alcotest.(check bool) "its test-only entry is stale" true
+    (List.mem "test-only-export lib/demo/widget.mli Widget/probe"
+       dropped.Proto_driver.stale_baseline)
 
 (* The report's document shape: renders and parses back unchanged, names
    its schema and counts active findings. *)
@@ -132,7 +158,7 @@ let check_report (o : Proto_driver.outcome) =
   let parsed = Report.parse (Report.render o.Proto_driver.report) in
   Alcotest.(check bool) "render/parse round-trips" true (parsed = o.Proto_driver.report);
   (match Report.member "schema" parsed with
-  | Some (Report.Str s) -> Alcotest.(check string) "schema" Proto_report.schema s
+  | Some (Report.Str s) -> Alcotest.(check string) "schema" "dcp.lint.proto/v1" s
   | _ -> Alcotest.fail "schema member missing");
   match Report.member "summary" parsed with
   | Some summary -> (
@@ -171,9 +197,9 @@ let test_tree_clean () =
         Proto_driver.run ~root ~baseline_path:(Filename.concat root "proto_baseline.txt") ()
       in
       Alcotest.(check (list string)) "no active findings (tree clean modulo baseline)" []
-        (List.map Finding.to_string o.Proto_driver.active);
+        (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.active);
       Alcotest.(check (list string)) "no unbaselined warnings" []
-        (List.map Finding.to_string o.Proto_driver.warnings);
+        (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.warnings);
       Alcotest.(check (list string)) "no stale proto baseline entries" []
         o.Proto_driver.stale_baseline;
       Alcotest.(check bool) "scanned a real number of units" true

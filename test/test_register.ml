@@ -19,6 +19,11 @@ module Check = Dcp_check
 module Scenario = Dcp_check.Scenario
 module Scenarios = Dcp_check.Scenarios
 
+let scenario name =
+  match Scenarios.find name with
+  | Some s -> s
+  | None -> Alcotest.failf "unknown scenario %s" name
+
 let members = 3
 
 let make_world ?(seed = 91) () =
@@ -192,7 +197,7 @@ let profile name =
 
 let test_register_mutation_detected () =
   let outcome =
-    Scenario.execute Scenarios.register_mutated ~seed:1 ~profile:(profile "lan") ()
+    Scenario.execute (scenario "register_mutated") ~seed:1 ~profile:(profile "lan") ()
   in
   match Scenario.fail_reason outcome with
   | None -> Alcotest.fail "barrier-free register passed the oracles: the checker is blind"
@@ -202,21 +207,21 @@ let test_register_mutation_detected () =
         (contains ~affix:"linearizable" reason)
 
 let test_register_honest_twin_passes () =
-  let outcome = Scenario.execute Scenarios.register ~seed:1 ~profile:(profile "lan") () in
+  let outcome = Scenario.execute (scenario "register") ~seed:1 ~profile:(profile "lan") () in
   match Scenario.fail_reason outcome with
   | None -> ()
   | Some reason -> Alcotest.failf "honest register scenario failed: %s" reason
 
 let test_register_mutation_shrinks () =
   match
-    Check.Shrink.run Scenarios.register_mutated ~seed:1 ~profile:(profile "lan") ~budget:60 ()
+    Check.Shrink.run (scenario "register_mutated") ~seed:1 ~profile:(profile "lan") ~budget:60 ()
   with
   | Error e -> Alcotest.failf "nothing to shrink: %s" e
   | Ok cx ->
       Alcotest.(check bool) "some shrink step accepted" true (cx.Check.Shrink.accepted > 0);
       Alcotest.(check bool) "workload minimised" true (cx.Check.Shrink.workload <= 24);
       let replay =
-        Scenario.execute Scenarios.register_mutated ~seed:cx.Check.Shrink.seed
+        Scenario.execute (scenario "register_mutated") ~seed:cx.Check.Shrink.seed
           ~profile:(profile cx.Check.Shrink.profile)
           ~horizon:cx.Check.Shrink.horizon ~workload:cx.Check.Shrink.workload
           ~intensity:cx.Check.Shrink.intensity ()
@@ -226,7 +231,8 @@ let test_register_mutation_shrinks () =
       | None -> Alcotest.fail "shrunk counterexample does not reproduce");
       Alcotest.(check bool)
         "replay hint names the scenario" true
-        (contains ~affix:"register_mutated" (Check.Shrink.replay_hint cx))
+        (contains ~affix:"--scenario register_mutated"
+           (Format.asprintf "%a" Check.Shrink.pp cx))
 
 let tests =
   [

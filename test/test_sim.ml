@@ -10,24 +10,23 @@ module Trace = Dcp_sim.Trace
 
 let test_heap_basics () =
   let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  Alcotest.(check (option int)) "empty" None (Heap.peek h);
   Heap.push h 5;
   Heap.push h 1;
   Heap.push h 3;
-  Alcotest.(check int) "length" 3 (Heap.length h);
   Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
   Alcotest.(check (option int)) "pop min" (Some 1) (Heap.pop h);
   Alcotest.(check (option int)) "pop next" (Some 3) (Heap.pop h);
   Alcotest.(check (option int)) "pop last" (Some 5) (Heap.pop h);
   Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
 
-let test_heap_pop_exn_empty () =
+let heap_of_list l =
   let h = Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
+  List.iter (Heap.push h) l;
+  h
 
 let test_heap_sorts () =
-  let h = Heap.of_list ~cmp:Int.compare [ 9; 2; 7; 2; 0; -3; 100; 55 ] in
+  let h = heap_of_list [ 9; 2; 7; 2; 0; -3; 100; 55 ] in
   let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
   Alcotest.(check (list int)) "drains sorted" [ -3; 0; 2; 2; 7; 9; 55; 100 ] (drain [])
 
@@ -45,7 +44,7 @@ let prop_heap_sorted_drain =
   QCheck2.Test.make ~name:"heap drains in sorted order" ~count:300
     QCheck2.Gen.(list int)
     (fun xs ->
-      let h = Heap.of_list ~cmp:Int.compare xs in
+      let h = heap_of_list xs in
       let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
       drain [] = List.sort Int.compare xs)
 
@@ -92,9 +91,9 @@ let test_engine_cancel () =
   let fired = ref false in
   let t = Engine.schedule e ~at:(Clock.ms 1) (fun () -> fired := true) in
   Engine.cancel t;
+  Alcotest.(check int) "marked cancelled" 0 (Engine.pending e);
   Engine.run e;
-  Alcotest.(check bool) "cancelled timer silent" false !fired;
-  Alcotest.(check bool) "marked cancelled" true (Engine.is_cancelled t)
+  Alcotest.(check bool) "cancelled timer silent" false !fired
 
 let test_engine_schedule_in_past_clamped () =
   let e = Engine.create () in
@@ -169,8 +168,15 @@ let test_metrics_histogram_quantiles () =
   Alcotest.(check bool) "p50 within 10%" true (Float.abs (p50 -. 500.0) < 50.0);
   let p99 = Metrics.quantile h 0.99 in
   Alcotest.(check bool) "p99 within 10%" true (Float.abs (p99 -. 990.0) < 99.0);
-  Alcotest.(check (float 1e-9)) "max exact" 1000.0 (Metrics.hist_max h);
-  Alcotest.(check (float 1e-9)) "min exact" 1.0 (Metrics.hist_min h)
+  (* the exact extremes show as the report's max and the clamped q=0 *)
+  let report = Format.asprintf "%a" Metrics.pp_report r in
+  Alcotest.(check bool) "max exact" true
+    (let needle = "max=1000.00" and n = String.length report in
+     let rec scan i =
+       i + 11 <= n && (String.equal (String.sub report i 11) needle || scan (i + 1))
+     in
+     scan 0);
+  Alcotest.(check (float 1e-9)) "min exact" 1.0 (Metrics.quantile h 0.0)
 
 let test_metrics_histogram_empty () =
   let r = Metrics.registry () in
@@ -268,7 +274,6 @@ let test_trace_ring_small_capacity () =
 let tests =
   [
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
-    Alcotest.test_case "heap pop_exn empty" `Quick test_heap_pop_exn_empty;
     Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_invariant;
     QCheck_alcotest.to_alcotest prop_heap_sorted_drain;

@@ -172,7 +172,7 @@ let test_coordinator_crash_after_decision () =
     (fun g ->
       Alcotest.(check int) "all decisions acked" 0
         (Two_phase.pending_decisions (Runtime.guardian_store g)))
-    (Runtime.find_guardians world ~def_name:Itinerary.def_name)
+    (Runtime.find_guardians world ~def_name:"itinerary")
 
 let test_participant_crash_holding_seat () =
   (* A participant crashes after prepare; on recovery it still holds the

@@ -9,7 +9,8 @@ let test_value_accessors () =
   Alcotest.(check int) "int" 42 (Value.get_int (Value.int 42));
   Alcotest.(check string) "str" "x" (Value.get_str (Value.str "x"));
   Alcotest.(check bool) "bool" true (Value.get_bool (Value.bool true));
-  Alcotest.(check (float 1e-9)) "real" 2.5 (Value.get_real (Value.real 2.5));
+  Alcotest.(check (float 1e-9)) "real" 2.5
+    (match Value.real 2.5 with Value.Real r -> r | _ -> Float.nan);
   Alcotest.check_raises "wrong accessor raises"
     (Value.Type_mismatch "int expected, got \"x\"") (fun () ->
       ignore (Value.get_int (Value.str "x")))
@@ -216,7 +217,7 @@ let test_codec_encoder_reuse () =
   List.iter
     (fun v ->
       Alcotest.(check string) "encode_with = encode" (Codec.encode_exn v)
-        (Codec.encode_with_exn enc v))
+        (Result.get_ok (Codec.encode_with enc v)))
     values;
   (* an error must not poison the handle for the next message *)
   let small = Codec.encoder ~config:{ Codec.default_config with max_message = 8 } () in
@@ -225,7 +226,7 @@ let test_codec_encoder_reuse () =
   | _ -> Alcotest.fail "expected Message_too_long");
   Alcotest.(check string) "handle survives an error"
     (Codec.encode_exn Value.unit)
-    (Codec.encode_with_exn small Value.unit)
+    (Result.get_ok (Codec.encode_with small Value.unit))
 
 let test_codec_trailing_bytes () =
   let s = Codec.encode_exn Value.unit ^ "junk" in
@@ -267,13 +268,6 @@ let prop_codec_roundtrip =
       | Error _ -> true (* size limits may trigger on big strings; fine *)
       | Ok s -> (
           match Codec.decode s with Ok v' -> Value.equal v v' | Error _ -> false))
-
-let prop_codec_size_estimate =
-  QCheck2.Test.make ~name:"encoded_size equals encode length" ~count:200 gen_value (fun v ->
-      match (Codec.encoded_size v, Codec.encode v) with
-      | Ok n, Ok s -> n = String.length s
-      | Error _, Error _ -> true
-      | _ -> false)
 
 (* ---- Token ---- *)
 
@@ -384,7 +378,6 @@ let tests =
     Alcotest.test_case "codec encoder reuse" `Quick test_codec_encoder_reuse;
     Alcotest.test_case "codec trailing bytes" `Quick test_codec_trailing_bytes;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
-    QCheck_alcotest.to_alcotest prop_codec_size_estimate;
     Alcotest.test_case "token roundtrip" `Quick test_token_roundtrip;
     Alcotest.test_case "token wrong secret" `Quick test_token_wrong_secret;
     Alcotest.test_case "token wrong owner" `Quick test_token_wrong_owner;
