@@ -12,17 +12,7 @@ let add t key = if not (Hashtbl.mem t.keys key) then Hashtbl.replace t.keys key 
 
 let read_lines path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := String.trim (input_line ic) :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !lines
-  end
+  else List.map String.trim (In_channel.with_open_text path In_channel.input_lines)
 
 let is_key line = String.length line > 0 && line.[0] <> '#'
 
@@ -42,7 +32,8 @@ let apply t findings =
     findings
 
 (* Entries that matched nothing: the grandfathered finding was fixed (or its
-   binding renamed).  Reported as warnings, pruned by --update-baseline. *)
+   binding renamed).  Each one fails the build until it is pruned, by hand
+   or with --update-baseline. *)
 let stale t =
   Hashtbl.fold (fun key hit acc -> if !hit then acc else key :: acc) t.keys []
   |> List.sort String.compare
@@ -50,8 +41,8 @@ let stale t =
 let header =
   [
     "# dcp_lint baseline: grandfathered findings, one `rule file context/token` key";
-    "# per line.  Regenerate with `dcp_lint.exe --update-baseline` after reviewing";
-    "# that any new entry really is benign (see DESIGN.md, \"Lint\").";
+    "# per line, grouped under `#` reason comments.  `dcp_lint.exe --update-baseline`";
+    "# appends new keys at the end; move each under its reason by hand.";
   ]
 
 (* Rewrite in place: comment and blank lines stay where they are (entries

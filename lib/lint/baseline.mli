@@ -15,7 +15,8 @@ val apply : t -> Finding.t list -> unit
 
 val stale : t -> string list
 (** Entries that matched no current finding, sorted: the grandfathered
-    finding was fixed, so the entry should be pruned. *)
+    finding was fixed, so the entry must be pruned — each one fails the
+    build. *)
 
 val save : path:string -> Finding.t list -> unit
 (** Make [path] list exactly the keys of [findings] — the

@@ -1,23 +1,26 @@
-(** The whole pass: layer graph, hygiene, per-file scans, baseline, report. *)
+(** The whole lint pass: discovery, one parse per unit, the per-file scan,
+    the whole-program protocol analysis, the baseline and the report. *)
 
 type outcome = {
-  findings : Finding.t list;  (** everything, sorted by {!Finding.order} *)
-  active : Finding.t list;  (** findings not covered by the baseline *)
+  findings : Finding.t list;  (** everything, sorted, baseline-marked *)
+  active : Finding.t list;  (** unbaselined, error tier: these fail the build *)
+  warnings : Finding.t list;  (** unbaselined, warning tier *)
   stale_baseline : string list;  (** baseline entries matching nothing *)
-  files_scanned : int;
-  layers : Layers.lib list;
-  report : Report.json;  (** the [dcp.lint.report/v1] document *)
+  report : Report.json;  (** the [dcp.lint.report/v2] document *)
+  dot : string;  (** graphviz export of the message-flow graph *)
 }
 
-val default_dirs : string list
-(** [lib], [bin], [examples]. *)
+val analyze : root:string -> units:(string * string) list -> baseline:Baseline.t -> outcome
+(** Pure entry point over in-memory [(path, source)] pairs, root-relative.
+    [.ml] pairs under [lib/], [bin/] and [examples/] are linted; [.ml]
+    pairs under [bench/], [test/] and [perfbench/] only count as users of
+    exports; [.mli] pairs supply the exports and seal their modules against
+    [mli-missing]; [lib/<dir>/dune] pairs supply the layer table. *)
 
-val reference_dirs : string list
-(** [bench], [test], [perfbench]: never linted, but the proto tier reads
-    their value references so a use there keeps an export alive. *)
-
-val run : ?dirs:string list -> root:string -> baseline_path:string -> unit -> outcome
+val run : root:string -> baseline_path:string -> outcome
+(** Discover and read every source {!analyze} takes under [root], and
+    analyze them against the baseline file. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human output: active findings as [file:line:col: [rule] message] lines,
-    stale-baseline warnings, and a one-line summary. *)
+    warnings, stale-baseline errors, and a one-line summary. *)

@@ -43,30 +43,26 @@ let family_name = function
   | Hygiene -> "hygiene"
   | Protocol -> "protocol"
 
-type tier = Scan | Proto
-
-(* Every rule either pass can emit, with its family and the tier that runs
-   it: each tier's report lists its own rules so downstream tooling need
-   not hardcode the set. *)
+(* Every rule the pass can emit, with its family: the report lists them
+   all so downstream tooling need not hardcode the set. *)
 let rules =
   [
-    ("layer-dag", Isolation, Scan);
-    ("guardian-isolation", Isolation, Scan);
-    ("mutable-payload", Transmittability, Scan);
-    ("wall-clock", Determinism, Scan);
-    ("hashtbl-order", Determinism, Scan);
-    ("domain-primitives", Determinism, Scan);
-    ("disk-faults", Determinism, Scan);
-    ("poly-compare", Hygiene, Scan);
-    ("obj-magic", Hygiene, Scan);
-    ("mli-missing", Hygiene, Scan);
-    ("parse-error", Hygiene, Scan);
-    ("proto-dead-letter", Protocol, Proto);
-    ("proto-unreachable-handler", Protocol, Proto);
-    ("proto-reply-obligation", Protocol, Proto);
-    ("proto-escape", Transmittability, Proto);
-    ("unused-export", Hygiene, Proto);
-    ("test-only-export", Hygiene, Proto);
+    ("layer-dag", Isolation);
+    ("guardian-isolation", Isolation);
+    ("mutable-payload", Transmittability);
+    ("wall-clock", Determinism);
+    ("hashtbl-order", Determinism);
+    ("domain-primitives", Determinism);
+    ("disk-faults", Determinism);
+    ("poly-compare", Hygiene);
+    ("obj-magic", Hygiene);
+    ("mli-missing", Hygiene);
+    ("parse-error", Hygiene);
+    ("proto-dead-letter", Protocol);
+    ("proto-unreachable-handler", Protocol);
+    ("proto-reply-obligation", Protocol);
+    ("unused-export", Hygiene);
+    ("test-only-export", Hygiene);
   ]
 
 (* One paragraph per rule, printed by [dcp_lint --explain <rule>]. *)
@@ -74,19 +70,22 @@ let explanations =
   [
     ( "layer-dag",
       "Modules may only depend downward in the layer DAG declared by lib/*/dune \
-       (core < net < stable < sim < primitives < applications).  An upward or \
-       sideways reference couples layers the architecture keeps separate and \
-       usually means simulation state is leaking into a guardian." );
+       (rng < wire, sim < net < stable < core < primitives < \
+       assoc/bank/airline/office < check < lint).  An upward or sideways \
+       reference couples layers the architecture keeps separate and usually \
+       means simulation state is leaking into a guardian." );
     ( "guardian-isolation",
       "Guardians share nothing: a guardian module must not reach into another \
        guardian's state directly.  All cross-guardian interaction goes through \
        messages (Runtime.send / Rpc.call), which is what makes node crashes and \
        network faults injectable." );
     ( "mutable-payload",
-      "A send/reply argument contains a raw mutable value (ref, array, Bytes) in \
-       the same expression.  Messages must carry external representations built \
-       with Value/Codec; sharing a mutable value across guardians breaks the \
-       no-shared-memory model and makes runs schedule-dependent." );
+      "A send/reply argument carries a raw mutable value (ref, array, Bytes): \
+       written in the argument itself, bound to a local, or returned (or \
+       passed through) by a helper, however many calls deep.  Messages must \
+       carry external representations built with Value/Codec; sharing a \
+       mutable value across guardians breaks the no-shared-memory model and \
+       makes runs schedule-dependent." );
     ( "wall-clock",
       "Unix.time, Unix.gettimeofday and friends read the host clock, which makes \
        simulated runs irreproducible.  Use the simulated Clock (world time) or \
@@ -132,8 +131,8 @@ let explanations =
       "A guardian dispatches on (or declares) a message name that no send site \
        in the whole program produces, so the handler arm is unreachable from \
        inside the repo.  Warning tier: externally-driven protocols and \
-       test-only senders legitimately trip it, which is what the proto baseline \
-       is for." );
+       test-only senders legitimately trip it, which is what the baseline is \
+       for." );
     ( "proto-reply-obligation",
       "An RPC handler's message carries a reply port, but on at least one \
        syntactic control-flow path the handler neither replies nor explicitly \
@@ -141,13 +140,6 @@ let explanations =
        The caller of Rpc.call will wait out its timeout for every request that \
        takes this path — the classic two_phase/replica gap this analyzer was \
        built to catch." );
-    ( "proto-escape",
-      "Interprocedural version of mutable-payload: a helper function returns (or \
-       passes through) a ref/array/Bytes value and the result flows into a \
-       send/reply payload through one or more calls.  The per-file rule only \
-       sees literal constructors in the argument expression; this one uses \
-       function summaries, so laundering the allocation through a helper no \
-       longer hides it." );
     ( "unused-export",
       "A val in a lib/ interface (nested module signatures included, module \
        type bodies not) that no other unit names.  A use is M.v with M \
@@ -161,7 +153,7 @@ let explanations =
       "A val in a lib/ interface that only units under test/ name (uses \
        resolved as for unused-export).  Give it a real caller, stop \
        exporting it (a test reaches the behaviour through the public API), \
-       or grandfather it in the proto baseline under a reason comment: a \
+       or grandfather it in the baseline under a reason comment: a \
        test observer of behaviour other code relies on, or a paper example \
        API.  A new one fails the build, and so does a stale entry (the value \
        gained a caller or went), so the baselined set can only shrink." );

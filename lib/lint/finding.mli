@@ -37,12 +37,8 @@ type family = Isolation | Transmittability | Determinism | Hygiene | Protocol
 
 val family_name : family -> string
 
-(** The pass that runs a rule: the per-file scan or the whole-program proto
-    tier. *)
-type tier = Scan | Proto
-
-val rules : (string * family * tier) list
-(** Every rule either pass can emit, with its family and tier. *)
+val rules : (string * family) list
+(** Every rule the pass can emit, with its family. *)
 
 val explain : string -> string option
 (** The rule's documentation paragraph, printed by [dcp_lint --explain]. *)

@@ -1,10 +1,10 @@
 (* The layer DAG from DESIGN.md: every in-repo library sits on a named
    layer, dune dependency edges must point strictly downward, and the four
    guardian application libraries may not reference each other at all (they
-   share a layer, so any edge between them is a back-edge).  Ranks are the
-   canonical chain wire -> net -> stable -> sim -> core -> primitives ->
-   apps, refined by the actual dune graph: sim sits beside wire because net
-   is built on the simulator's clock. *)
+   share a layer, so any edge between them is a back-edge).  The ranks are
+   rng < wire, sim < net < stable < core < primitives <
+   assoc/bank/airline/office < check < lint: sim sits beside wire because
+   net is built on the simulator's clock. *)
 
 type lib = { dir : string; lib_name : string; deps : string list; rank : int }
 
@@ -135,26 +135,14 @@ let parse_dune ~dir source =
       let rank = Option.value (rank_of_dir dir) ~default:(-1) in
       Some { dir; lib_name = name; deps; rank }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  contents
-
-let load ~root =
-  let lib_root = Filename.concat root "lib" in
-  let dirs =
-    Sys.readdir lib_root |> Array.to_list
-    |> List.filter (fun d ->
-           String.length d > 0 && d.[0] <> '.' && Sys.is_directory (Filename.concat lib_root d))
-    |> List.sort String.compare
-  in
+(* [(path, source)] pairs for lib/<dir>/dune files, in any order. *)
+let of_dune_files files =
   List.filter_map
-    (fun dir ->
-      let dune = Filename.concat (Filename.concat lib_root dir) "dune" in
-      if Sys.file_exists dune then parse_dune ~dir (read_file dune) else None)
-    dirs
+    (fun (path, source) ->
+      match String.split_on_char '/' path with
+      | [ "lib"; dir; "dune" ] -> parse_dune ~dir source
+      | _ -> None)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) files)
 
 (* Dune-graph rules: unknown layers, and edges that do not point strictly
    downward.  An edge between two guardian libraries is reported as

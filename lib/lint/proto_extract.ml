@@ -4,9 +4,9 @@
    the later passes consume: function definitions (fuel for the
    interprocedural summaries in Proto_summary), declared message signatures
    (Rpc.request_signature / Vtype.signature / Vtype.reply), and handler
-   dispatch sites (match cases over a message command).  Like Scan, the
-   pass is untyped and syntactic: names are resolved by their written
-   [Longident] suffix, which matches the tree's pervasive
+   dispatch sites (match cases over a message command).  Scan walks the
+   same parsetree.  The pass is untyped and syntactic: names are resolved
+   by their written [Longident] suffix, which matches the tree's pervasive
    [module Rpc = Dcp_primitives.Rpc] aliasing idiom. *)
 
 open Parsetree
@@ -287,7 +287,7 @@ type unit_info = {
   u_module : string;  (** capitalized basename, e.g. ["Branch"] *)
   u_lib : string option;  (** ["bank"] for [lib/bank/branch.ml] *)
   u_id : string;  (** graph node id, e.g. ["bank/branch"] *)
-  u_structure : structure option;  (** [None] when the unit fails to parse *)
+  u_structure : (structure, string) result;  (** the parse error's text on failure *)
   u_fns : fn list;
   u_handles : handle list;
   u_uses : string list;
@@ -434,11 +434,13 @@ let load ~path ~source =
     try
       let lexbuf = Lexing.from_string source in
       Location.init lexbuf path;
-      Some (Parse.implementation lexbuf)
-    with _ -> None
+      Ok (Parse.implementation lexbuf)
+    with
+    | Syntaxerr.Error _ -> Error "syntax error"
+    | exn -> Error (Printexc.to_string exn)
   in
   let fns, handles =
-    match structure with Some s -> extract ~path s | None -> ([], [])
+    match structure with Ok s -> extract ~path s | Error _ -> ([], [])
   in
   {
     u_path = path;
@@ -448,5 +450,5 @@ let load ~path ~source =
     u_structure = structure;
     u_fns = fns;
     u_handles = handles;
-    u_uses = (match structure with Some s -> uses s | None -> []);
+    u_uses = (match structure with Ok s -> uses s | Error _ -> []);
   }

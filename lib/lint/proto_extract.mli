@@ -1,9 +1,10 @@
 (** Whole-program protocol analysis, pass 1: per-unit extraction.
 
-    Parses each compilation unit once and extracts the raw protocol facts —
-    function definitions, declared message signatures, and handler dispatch
-    sites — consumed by the interprocedural passes ([Proto_summary],
-    [Proto_reply], [Proto_flow]).  Untyped and syntactic, like [Scan]. *)
+    Parses each compilation unit once — [Scan] walks the same parsetree —
+    and extracts the raw protocol facts — function definitions, declared
+    message signatures, and handler dispatch sites — consumed by the
+    interprocedural passes ([Proto_summary], [Proto_reply], [Proto_flow]).
+    Untyped and syntactic. *)
 
 module SSet : Set.S with type elt = string
 module SMap : Map.S with type key = string
@@ -90,7 +91,8 @@ type unit_info = {
   u_module : string;  (** capitalized basename, e.g. ["Branch"] *)
   u_lib : string option;  (** ["bank"] for [lib/bank/branch.ml] *)
   u_id : string;  (** graph node id, e.g. ["bank/branch"] *)
-  u_structure : Parsetree.structure option;  (** [None] when the unit fails to parse *)
+  u_structure : (Parsetree.structure, string) result;
+      (** the parse error's text when the unit fails to parse *)
   u_fns : fn list;
   u_handles : handle list;
   u_uses : string list;

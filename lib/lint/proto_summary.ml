@@ -19,14 +19,15 @@
    - mutable escape: functions whose result is (or passes through to) a
      raw mutable value — array literals, [ref], [Bytes.*] constructors —
      so a mutable payload laundered through helper calls into a send
-     argument is still caught ([proto-escape]).
+     argument is caught as surely as one written in place.
 
    The final walk, [collect_sends], resolves every send site in a unit to
-   its abstract command-name set and reports interprocedural mutable
-   escapes.  Everything is a syntactic over/under-approximation in the
-   usual lint sense: unresolvable names degrade to [Dynamic] (recorded in
-   the tables, never reported), and the committed proto baseline absorbs
-   reviewed remainders. *)
+   its abstract command-name set and reports every mutable value that
+   reaches a send argument ([mutable-payload]), direct or laundered.
+   Everything is a syntactic over/under-approximation in the usual lint
+   sense: unresolvable names degrade to [Dynamic] (recorded in the tables,
+   never reported), and the committed baseline absorbs reviewed
+   remainders. *)
 
 open Parsetree
 open Proto_extract
@@ -383,7 +384,7 @@ let call_edges env =
         info.i_applies);
   List.sort_uniq compare_edge !edges
 
-(* ---- send resolution + escape findings ---- *)
+(* ---- send resolution + mutable-payload findings ---- *)
 
 type send = {
   sd_line : int;
@@ -423,11 +424,10 @@ let is_mut_value env ~own lenv e =
           match SMap.find_opt x lenv with Some { le_mut = true; _ } -> true | _ -> false)
       | _ -> false)
 
-(* Escape scan over a send argument: report mutables that arrive through a
-   call or a binding.  Direct mutable literals in the argument are Scan's
-   per-file [mutable-payload] rule; flagging them again here would
-   double-report, so only summarized sources count. *)
-let escape_token env ~own lenv arg =
+(* The first raw mutable value a send argument carries, anywhere inside
+   it: an array literal or a mutable constructor written in place, a local
+   bound to one, or a call whose summary returns (or passes through) one. *)
+let mutable_token env ~own lenv arg =
   let verdict = ref None in
   let note t = if !verdict = None then verdict := Some t in
   let super = Ast_iterator.default_iterator in
@@ -437,6 +437,9 @@ let escape_token env ~own lenv arg =
         (* [!r] transmits the ref's contents, not the ref; the common
            [Value.int !counter] idiom is fine *)
         ()
+    | Pexp_array _ ->
+        note "array-literal";
+        super.expr self e
     | Pexp_apply (f, args) ->
         (match callee_pair f with
         | Some pair when not (is_mut_primitive pair) ->
@@ -454,13 +457,21 @@ let escape_token env ~own lenv arg =
               then note (pair_string pair)
         | _ -> ());
         super.expr self e
-    | Pexp_ident { txt = Longident.Lident x; _ } -> (
-        match SMap.find_opt x lenv with Some { le_mut = true; _ } -> note x | _ -> ())
+    | Pexp_ident { txt = Longident.Lident x; _ }
+      when match SMap.find_opt x lenv with Some { le_mut; _ } -> le_mut | None -> false ->
+        note x
+    | Pexp_ident { txt; _ } ->
+        let pair = last2 (Longident.flatten txt) in
+        if is_mut_primitive pair then note (pair_string pair)
     | _ -> super.expr self e
   in
   let it = { super with expr } in
   it.expr it arg;
   !verdict
+
+(* Payload-checked call sites: every sink, plus any callee named send or
+   reply the sink fixpoint cannot see into (Ordered.send, Network.send). *)
+let checks_payload ~slots (_, f) = slots <> [] || String.equal f "send" || String.equal f "reply"
 
 (* Command names returned by an [Rpc.serve ~f] callback. *)
 let callback_reply_names env ~own lenv fexpr =
@@ -482,11 +493,11 @@ let callback_reply_names env ~own lenv fexpr =
 
 let collect_sends env u =
   match u.u_structure with
-  | None -> ([], [])
-  | Some structure ->
+  | Error _ -> ([], [])
+  | Ok structure ->
       let own = u.u_module in
       let sends = ref [] in
-      let escapes = ref [] in
+      let payloads = ref [] in
       let context = ref "-" in
       let lenv = ref SMap.empty in
       let super = Ast_iterator.default_iterator in
@@ -547,39 +558,40 @@ let collect_sends env u =
             (match callee_pair f with
             | Some pair -> (
                 let key = resolve ~own pair in
-                (match sink_slots env key with
-                | [] -> ()
-                | slots ->
-                    let names =
-                      List.fold_left
-                        (fun acc slot ->
-                          match arg_at slot args with
-                          | Some a -> nunion acc (eval_names env ~own !lenv a)
-                          | None -> Dynamic)
-                        (Known SSet.empty) slots
-                    in
-                    sends :=
-                      {
-                        sd_line = line_of e.pexp_loc;
-                        sd_context = !context;
-                        sd_via = pair_string pair;
-                        sd_names = names;
-                      }
-                      :: !sends;
-                    List.iter
-                      (fun (_, a) ->
-                        match escape_token env ~own !lenv a with
-                        | Some token ->
-                            escapes :=
-                              Finding.v ~rule:"proto-escape" ~file:u.u_path
-                                ~line:(line_of a.pexp_loc) ~col:0 ~context:!context ~token
-                                (Printf.sprintf
-                                   "mutable value from %s reaches a %s payload through helper \
-                                    calls; transmit an external rep built with Value/Codec"
-                                   token (pair_string pair))
-                              :: !escapes
-                        | None -> ())
-                      args);
+                let slots = sink_slots env key in
+                if slots <> [] then begin
+                  let names =
+                    List.fold_left
+                      (fun acc slot ->
+                        match arg_at slot args with
+                        | Some a -> nunion acc (eval_names env ~own !lenv a)
+                        | None -> Dynamic)
+                      (Known SSet.empty) slots
+                  in
+                  sends :=
+                    {
+                      sd_line = line_of e.pexp_loc;
+                      sd_context = !context;
+                      sd_via = pair_string pair;
+                      sd_names = names;
+                    }
+                    :: !sends
+                end;
+                if checks_payload ~slots pair then
+                  List.iter
+                    (fun (_, a) ->
+                      match mutable_token env ~own !lenv a with
+                      | Some token ->
+                          payloads :=
+                            Finding.v ~rule:"mutable-payload" ~file:u.u_path
+                              ~line:(line_of a.pexp_loc) ~col:0 ~context:!context ~token
+                              (Printf.sprintf
+                                 "raw mutable value (%s) reaches a %s argument; transmit an \
+                                  external rep built with Value/Codec instead"
+                                 token (pair_string pair))
+                            :: !payloads
+                      | None -> ())
+                    args;
                 match pair with
                 | _, ("serve" | "serve_always") -> (
                     match labelled "f" args with
@@ -614,7 +626,7 @@ let collect_sends env u =
       in
       let it = { super with expr; structure_item } in
       it.structure it structure;
-      (List.rev !sends, List.rev !escapes)
+      (List.rev !sends, List.rev !payloads)
 
 (* ---- unused exports ---- *)
 

@@ -3,8 +3,8 @@
     Builds fixpoint summaries over every function [Proto_extract] collected —
     command-argument sinks, returned command names, mutable-escape — then
     resolves each transmission site in a unit to the abstract set of message
-    names it can send, reporting interprocedural mutable escapes along the
-    way. *)
+    names it can send, reporting mutable payloads (direct or laundered
+    through helpers) along the way. *)
 
 open Proto_extract
 
@@ -50,7 +50,7 @@ type send = {
 }
 
 val collect_sends : env -> unit_info -> send list * Finding.t list
-(** All sends of a unit plus its [proto-escape] findings. *)
+(** All sends of a unit plus its [mutable-payload] findings. *)
 
 val unused_exports : export list -> unit_info list -> Finding.t list
 (** [unused-export] findings for exports no other unit names and

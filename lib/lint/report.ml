@@ -1,9 +1,14 @@
-(* The machine-readable lint report (`dcp.lint.report/v1`), following the
+(* The machine-readable lint report (`dcp.lint.report/v2`), following the
    bench/check emitters: a self-contained JSON value with its own renderer
    and a parser covering exactly the subset we emit, so the schema
-   round-trips without external dependencies. *)
+   round-trips without external dependencies.  Everything is emitted in
+   deterministic order: layers by (rank, dir), units as discovered (sorted
+   paths), sends and handles by line, flow edges by (src, dst), call-graph
+   edges grouped per library. *)
 
-let schema = "dcp.lint.report/v1"
+open Proto_extract
+
+let schema = "dcp.lint.report/v2"
 
 type json =
   | Null
@@ -217,13 +222,15 @@ let member name = function Obj fields -> List.assoc_opt name fields | _ -> None
 
 (* ---- building the report ---- *)
 
+let num n = Num (float_of_int n)
+
 let of_finding (f : Finding.t) =
   Obj
     [
       ("rule", Str f.rule);
       ("file", Str f.file);
-      ("line", Num (float_of_int f.line));
-      ("col", Num (float_of_int f.col));
+      ("line", num f.line);
+      ("col", num f.col);
       ("context", Str f.context);
       ("token", Str f.token);
       ("message", Str f.message);
@@ -236,35 +243,114 @@ let of_layer (l : Layers.lib) =
     [
       ("lib", Str l.dir);
       ("name", Str l.lib_name);
-      ("rank", Num (float_of_int l.rank));
+      ("rank", num l.rank);
       ("deps", Arr (List.map (fun d -> Str d) l.deps));
     ]
 
-(* Per-rule totals over the rules [tier] runs, shared with [Proto_report]. *)
-let rule_summary tier findings =
-  let count p = List.length (List.filter p findings) in
+let of_names = function
+  | Dynamic -> Str "dynamic"
+  | Known s -> Arr (List.map (fun n -> Str n) (SSet.elements s))
+
+let of_send (sd : Proto_summary.send) =
   Obj
-    (List.filter_map
-       (fun (rule, family, t) ->
-         if t <> tier then None
-         else
-           Some
-             ( rule,
-               Obj
-                 [
-                   ("family", Str (Finding.family_name family));
-                   ( "total",
-                     Num (float_of_int (count (fun f -> String.equal f.Finding.rule rule))) );
-                   ( "active",
-                     Num
-                       (float_of_int
-                          (count (fun f ->
-                               String.equal f.Finding.rule rule && not f.Finding.baselined))) );
-                 ] ))
+    [
+      ("line", num sd.sd_line);
+      ("context", Str sd.sd_context);
+      ("via", Str sd.sd_via);
+      ("names", of_names sd.sd_names);
+    ]
+
+let of_handle (h : handle) =
+  Obj
+    [
+      ("name", Str h.h_name);
+      ("kind", Str (kind_name h.h_kind));
+      ("line", num h.h_line);
+      ("context", Str h.h_context);
+      ("obligated", Bool h.h_obligated);
+    ]
+
+let of_unit ({ us_unit = u; us_sends } : Proto_flow.unit_sends) =
+  Obj
+    [
+      ("id", Str u.u_id);
+      ("path", Str u.u_path);
+      ("module", Str u.u_module);
+      ("lib", match u.u_lib with Some l -> Str l | None -> Null);
+      ("parsed", Bool (Result.is_ok u.u_structure));
+      ( "sends",
+        Arr
+          (List.map of_send
+             (List.sort
+                (fun (a : Proto_summary.send) b -> Int.compare a.sd_line b.sd_line)
+                us_sends)) );
+      ( "handles",
+        Arr
+          (List.map of_handle
+             (List.sort (fun (a : handle) b -> Int.compare a.h_line b.h_line) u.u_handles)) );
+    ]
+
+let of_edge (e : Proto_flow.edge) =
+  Obj
+    [
+      ("src", Str e.e_src);
+      ("dst", Str e.e_dst);
+      ("msgs", Arr (List.map (fun n -> Str n) (SSet.elements e.e_msgs)));
+    ]
+
+(* Call-graph edges arrive sorted by (lib, caller, callee); group them by
+   library, the [None] (bin/examples) group last as "-". *)
+let of_call_graph edges =
+  let lib_name = function Some l -> l | None -> "-" in
+  let groups =
+    List.fold_left
+      (fun acc (lib, caller, callee) ->
+        let l = lib_name lib in
+        match acc with
+        | (l', edges) :: rest when String.equal l l' -> (l', (caller, callee) :: edges) :: rest
+        | _ -> (l, [ (caller, callee) ]) :: acc)
+      []
+      (List.sort
+         (fun (l1, a1, b1) (l2, a2, b2) ->
+           let c = String.compare (lib_name l1) (lib_name l2) in
+           if c <> 0 then c
+           else
+             let c = String.compare a1 a2 in
+             if c <> 0 then c else String.compare b1 b2)
+         edges)
+  in
+  Arr
+    (List.rev_map
+       (fun (lib, edges) ->
+         Obj
+           [
+             ("lib", Str lib);
+             ( "edges",
+               Arr
+                 (List.rev_map
+                    (fun (caller, callee) -> Obj [ ("from", Str caller); ("to", Str callee) ])
+                    edges) );
+           ])
+       groups)
+
+(* Per-rule totals over every rule, so downstream tooling need not
+   hardcode the set. *)
+let rule_summary findings =
+  Obj
+    (List.map
+       (fun (rule, family) ->
+         let mine = List.filter (fun f -> String.equal f.Finding.rule rule) findings in
+         ( rule,
+           Obj
+             [
+               ("family", Str (Finding.family_name family));
+               ("total", num (List.length mine));
+               ( "unbaselined",
+                 num (List.length (List.filter (fun f -> not f.Finding.baselined) mine)) );
+             ] ))
        Finding.rules)
 
-let build ~root ~files_scanned ~layers ~findings ~stale_baseline =
-  let active = List.filter (fun f -> not f.Finding.baselined) findings in
+let build ~root ~layers ~units ~flow ~call_graph ~findings ~active ~warnings ~stale_baseline =
   let sorted_layers =
     List.sort
       (fun (a : Layers.lib) b ->
@@ -272,21 +358,27 @@ let build ~root ~files_scanned ~layers ~findings ~stale_baseline =
         if c <> 0 then c else String.compare a.dir b.dir)
       layers
   in
+  let baselined = List.filter (fun f -> f.Finding.baselined) findings in
   Obj
     [
       ("schema", Str schema);
       ("root", Str root);
-      ("files_scanned", Num (float_of_int files_scanned));
       ("layers", Arr (List.map of_layer sorted_layers));
+      ("units", Arr (List.map of_unit units));
+      ("flow", Arr (List.map of_edge flow));
+      ("call_graph", of_call_graph call_graph);
       ("findings", Arr (List.map of_finding findings));
       ("stale_baseline", Arr (List.map (fun k -> Str k) stale_baseline));
       ( "summary",
         Obj
           [
-            ("total", Num (float_of_int (List.length findings)));
-            ("active", Num (float_of_int (List.length active)));
-            ("baselined", Num (float_of_int (List.length findings - List.length active)));
-            ("stale_baseline", Num (float_of_int (List.length stale_baseline)));
-            ("rules", rule_summary Finding.Scan findings);
+            ("files_scanned", num (List.length units));
+            ("flow_edges", num (List.length flow));
+            ("total", num (List.length findings));
+            ("active", num (List.length active));
+            ("warnings", num (List.length warnings));
+            ("baselined", num (List.length baselined));
+            ("stale_baseline", num (List.length stale_baseline));
+            ("rules", rule_summary findings);
           ] );
     ]

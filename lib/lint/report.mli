@@ -1,10 +1,8 @@
-(** The machine-readable lint report ([dcp.lint.report/v1]).
+(** The machine-readable lint report ([dcp.lint.report/v2]).
 
     Self-contained JSON: a renderer plus a parser covering exactly the
     emitted subset, so the schema round-trips without external
     dependencies (same approach as the bench/check emitters). *)
-
-val schema : string
 
 type json =
   | Null
@@ -23,19 +21,18 @@ val parse : string -> json
 
 val member : string -> json -> json option
 
-val of_finding : Finding.t -> json
-(** Shared with the proto-tier report ([Proto_report]). *)
-
-val rule_summary : Finding.tier -> Finding.t list -> json
-(** Total and active findings per rule, for the rules [tier] runs; shared
-    with [Proto_report]. *)
-
 val build :
   root:string ->
-  files_scanned:int ->
   layers:Layers.lib list ->
+  units:Proto_flow.unit_sends list ->
+  flow:Proto_flow.edge list ->
+  call_graph:(string option * string * string) list ->
   findings:Finding.t list ->
+  active:Finding.t list ->
+  warnings:Finding.t list ->
   stale_baseline:string list ->
   json
-(** Assemble the report document.  [findings] should already be sorted and
-    baseline-marked; layers are re-sorted by (rank, dir). *)
+(** Assemble the report document: the layer table, per-unit sends and
+    handles, the message-flow and call graphs, every finding and a summary.
+    [findings] should already be sorted and baseline-marked; [active] and
+    [warnings] are its unbaselined error- and warning-tier parts. *)

@@ -1,13 +1,14 @@
 (* Per-file syntactic rules over the compiler-libs parsetree.
 
-   The pass is deliberately untyped: it runs on a bare [Parse.implementation]
-   with no type environment, so every rule is a syntactic approximation with
-   the committed baseline absorbing the benign remainder (e.g. a
-   [Hashtbl.fold] that computes a commutative sum).  What the approximation
-   buys is speed (the whole tree lints in well under a second) and zero
-   coupling to build order. *)
+   The pass is deliberately untyped: it walks the bare parsetree that
+   Proto_extract.load already built, with no type environment, so every
+   rule is a syntactic approximation with the committed baseline absorbing
+   the benign remainder (e.g. a [Hashtbl.fold] that computes a commutative
+   sum).  What the approximation buys is speed (the whole tree lints in
+   well under a second) and zero coupling to build order. *)
 
 open Parsetree
+open Proto_extract
 
 type ctx = {
   file : string;  (* root-relative path *)
@@ -18,12 +19,6 @@ type ctx = {
   aliases : (string, string list) Hashtbl.t;
       (* [module U = Unix] renames, resolved before every longident check *)
 }
-
-let last2 comps =
-  match List.rev comps with
-  | last :: prev :: _ -> (prev, last)
-  | [ last ] -> ("", last)
-  | [] -> ("", "")
 
 let is_sort (m, f) =
   (match m with "List" | "ListLabels" | "Array" | "ArrayLabels" -> true | _ -> false)
@@ -64,9 +59,6 @@ let wall_clock_idents =
     ("Sys", "time");
     ("Random", "self_init");
   ]
-
-let is_send (m, f) =
-  String.equal f "send" || String.equal f "reply" || (String.equal m "Rpc" && String.equal f "call")
 
 let is_compare_op (_, f) =
   match f with "=" | "<>" | "<" | ">" | "<=" | ">=" -> true | _ -> false
@@ -174,26 +166,6 @@ let check_lid ctx (lid : Longident.t Location.loc) =
 
 (* ---- expression helpers ---- *)
 
-let rec callee_lid e =
-  match e.pexp_desc with
-  | Pexp_ident lid -> Some lid
-  | Pexp_apply (f, _) -> callee_lid f
-  | _ -> None
-
-let callee_pair e =
-  match callee_lid e with Some lid -> Some (last2 (Longident.flatten lid.txt)) | None -> None
-
-let expr_contains pred e =
-  let found = ref false in
-  let super = Ast_iterator.default_iterator in
-  let expr self e =
-    if pred e then found := true;
-    if not !found then super.expr self e
-  in
-  let it = { super with expr } in
-  it.expr it e;
-  !found
-
 (* A comparison operand that is (or contains) a whole [Port.name] result.
    Projections out of the abstract name ([(Port.name p).Port_name.index])
    compare a concrete component and are fine, so field accesses are not
@@ -212,39 +184,7 @@ let mentions_port_name e =
   it.expr it e;
   !found
 
-(* A raw mutable value syntactically reaching a transmission argument:
-   anything whose identity the receiver cannot share.  Everything sent must
-   go through Value/Codec external reps. *)
-let mutable_payload e =
-  let verdict = ref None in
-  let note token = if !verdict = None then verdict := Some token in
-  ignore
-    (expr_contains
-       (fun e ->
-         (match e.pexp_desc with
-         | Pexp_array _ -> note "array-literal"
-         | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "ref"; _ }; _ }, _) ->
-             note "ref"
-         | Pexp_ident { txt; _ } -> (
-             match last2 (Longident.flatten txt) with
-             | "Bytes", ("create" | "make" | "of_string" | "copy" | "unsafe_of_string") ->
-                 note "Bytes"
-             | _ -> ())
-         | _ -> ());
-         false)
-       e);
-  !verdict
-
 (* ---- the iterator ---- *)
-
-let binding_name pat =
-  let rec go p =
-    match p.ppat_desc with
-    | Ppat_var { txt; _ } -> Some txt
-    | Ppat_constraint (inner, _) -> go inner
-    | _ -> None
-  in
-  go pat
 
 let iterator ctx =
   let super = Ast_iterator.default_iterator in
@@ -278,18 +218,6 @@ let iterator ctx =
                "%s iterates in hash order; sort the collected result (or use Store.to_alist) \
                 before it can reach wire encoding, oracle verdicts, or trace output"
                token);
-        if is_send p then
-          List.iter
-            (fun (_, a) ->
-              match mutable_payload a with
-              | Some mtoken ->
-                  report ctx ~loc:a.pexp_loc ~rule:"mutable-payload" ~token:mtoken
-                    (Printf.sprintf
-                       "raw mutable value (%s) in a %s argument; transmit an external rep \
-                        built with Value/Codec instead"
-                       mtoken token)
-              | None -> ())
-            args;
         if is_compare_op p && List.exists (fun (_, a) -> mentions_port_name a) args then
           report ctx ~loc ~rule:"poly-compare" ~token:"Port.name"
             (Printf.sprintf "polymorphic %s on port names; use Port_name.equal/compare" (snd p));
@@ -358,34 +286,22 @@ let iterator ctx =
   in
   { super with expr; typ; pat; module_expr; structure_item }
 
-let file ~path ~source =
-  let own_dir =
-    match String.split_on_char '/' path with
-    | [ "lib"; dir; _ ] -> Some dir
-    | _ -> None
-  in
+let file u =
   let ctx =
     {
-      file = path;
-      own_dir;
+      file = u.u_path;
+      own_dir = u.u_lib;
       findings = ref [];
       context = ref [];
       sort_depth = ref 0;
       aliases = Hashtbl.create 8;
     }
   in
-  (try
-     let lexbuf = Lexing.from_string source in
-     Location.init lexbuf path;
-     let structure = Parse.implementation lexbuf in
-     let it = iterator ctx in
-     it.structure it structure
-   with exn ->
-     let message =
-       match exn with
-       | Syntaxerr.Error _ -> "syntax error"
-       | exn -> Printexc.to_string exn
-     in
-     report ctx ~loc:Location.none ~rule:"parse-error" ~token:"parse"
-       (Printf.sprintf "could not parse: %s" message));
+  (match u.u_structure with
+  | Ok structure ->
+      let it = iterator ctx in
+      it.structure it structure
+  | Error message ->
+      report ctx ~loc:Location.none ~rule:"parse-error" ~token:"parse"
+        (Printf.sprintf "could not parse: %s" message));
   List.sort Finding.order !(ctx.findings)

@@ -1,10 +1,10 @@
 (* The dcp_lint pass: every rule fires on its minimal bad fixture, the
    sorted sibling stays quiet, baselines and the JSON report round-trip,
-   and the real tree is clean modulo the committed baseline. *)
+   one baseline governs every rule family, and the real tree is clean
+   modulo the committed baseline. *)
 
 module Finding = Dcp_lint.Finding
 module Layers = Dcp_lint.Layers
-module Scan = Dcp_lint.Scan
 module Baseline = Dcp_lint.Baseline
 module Report = Dcp_lint.Report
 module Driver = Dcp_lint.Driver
@@ -17,9 +17,11 @@ let read_fixture name =
   close_in ic;
   s
 
-(* Scan a fixture as if it lived at [path] inside the tree, so the layer
+let analyze units = Driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ())
+
+(* Lint a fixture as if it lived at [path] inside the tree, so the layer
    rules see the right context. *)
-let scan_fixture ~as_path name = Scan.file ~path:as_path ~source:(read_fixture name)
+let scan_fixture ~as_path name = (analyze [ (as_path, read_fixture name) ]).Driver.findings
 
 let rules_of findings = List.map (fun f -> f.Finding.rule) findings
 
@@ -100,35 +102,30 @@ let test_mutable_payload () =
     scan_fixture ~as_path:"lib/office/bad_mutable_payload.ml" "bad_mutable_payload.ml"
   in
   let hits = List.filter (fun f -> String.equal f.Finding.rule "mutable-payload") findings in
-  Alcotest.(check int) "array into send and ref into reply both fire" 2 (List.length hits)
+  (* An array literal, a ref, and Bytes.sub / Bytes.cat / Array.make
+     written straight into the argument: one finding per send line. *)
+  Alcotest.(check (list int)) "one finding per send line" [ 2; 3; 4; 5; 6 ]
+    (List.map (fun f -> f.Finding.line) hits)
 
 let test_parse_error () =
   check_fires "bad_parse.ml" ~as_path:"lib/wire/bad_parse.ml" ~rule:"parse-error" ()
 
 let test_missing_mli () =
-  let root = Filename.temp_file "dcp_lint_tree" "" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  let dir = Filename.concat (Filename.concat root "lib") "wire" in
-  Sys.mkdir dir 0o755;
-  let write name contents =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc contents;
-    close_out oc
+  let o =
+    analyze
+      [
+        ("lib/wire/bare.ml", "let x = 1\n");
+        ("lib/wire/sealed.ml", "let x = 1\n");
+        ("lib/wire/sealed.mli", "val x : int\n");
+        ("bin/tool.ml", "let () = print_int Sealed.x\n");
+      ]
   in
-  write "bare.ml" "let x = 1\n";
-  write "sealed.ml" "let x = 1\n";
-  write "sealed.mli" "val x : int\n";
-  let srcs = Dcp_lint.Discover.ml_files ~root ~dirs:[ "lib" ] in
-  let findings = Dcp_lint.Discover.missing_mli ~root srcs in
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
-  Sys.rmdir (Filename.concat root "lib");
-  Sys.rmdir root;
+  let findings =
+    List.filter (fun f -> String.equal f.Finding.rule "mli-missing") o.Driver.findings
+  in
   Alcotest.(check (list string)) "only the interface-less module is flagged"
-    [ "mli-missing" ] (rules_of findings);
-  Alcotest.(check string) "names the file" "lib/wire/bare.ml" (List.hd findings).Finding.file
+    [ "lib/wire/bare.ml" ]
+    (List.map (fun f -> f.Finding.file) findings)
 
 let test_layers_ranks () =
   Alcotest.(check (option int)) "wire rank" (Some 1) (Layers.rank_of_dir "wire");
@@ -186,25 +183,22 @@ let test_baseline_stale () =
     [ "hashtbl-order lib/gone.ml f/Hashtbl.fold" ] (Baseline.stale b)
 
 let test_report_roundtrip () =
-  let findings = scan_fixture ~as_path:"lib/core/bad_hashtbl_order.ml" "bad_hashtbl_order.ml" in
-  let layers =
-    [ { Layers.dir = "wire"; lib_name = "dcp_wire"; deps = [ "dcp_rng" ]; rank = 1 } ]
+  let o =
+    analyze [ ("lib/core/bad_hashtbl_order.ml", read_fixture "bad_hashtbl_order.ml") ]
   in
-  let report =
-    Report.build ~root:"." ~files_scanned:1 ~layers ~findings ~stale_baseline:[ "old key" ]
-  in
+  let report = o.Driver.report in
   let parsed = Report.parse (Report.render report) in
   Alcotest.(check bool) "render/parse round-trips" true (parsed = report);
   (match Report.member "schema" parsed with
-  | Some (Report.Str s) -> Alcotest.(check string) "schema" Report.schema s
+  | Some (Report.Str s) -> Alcotest.(check string) "schema" "dcp.lint.report/v2" s
   | _ -> Alcotest.fail "schema member missing");
   match Report.member "summary" parsed with
   | Some summary -> (
       match (Report.member "total" summary, Report.member "active" summary) with
       | Some (Report.Num total), Some (Report.Num active) ->
-          Alcotest.(check int) "total counts findings" (List.length findings)
+          Alcotest.(check int) "total counts findings" (List.length o.Driver.findings)
             (int_of_float total);
-          Alcotest.(check int) "all active (no baseline applied)" (List.length findings)
+          Alcotest.(check int) "all active (no baseline applied)" (List.length o.Driver.findings)
             (int_of_float active)
       | _ -> Alcotest.fail "summary counts missing")
   | None -> Alcotest.fail "summary member missing"
@@ -230,14 +224,62 @@ let test_tree_clean () =
   | None -> ()  (* enforced by `dune build @lint` regardless *)
   | Some root ->
       let outcome =
-        Driver.run ~root ~baseline_path:(Filename.concat root "lint_baseline.txt") ()
+        Driver.run ~root ~baseline_path:(Filename.concat root "lint_baseline.txt")
       in
       Alcotest.(check (list string)) "no active findings (tree clean modulo baseline)" []
         (List.map (Format.asprintf "%a" Finding.pp) outcome.Driver.active);
       Alcotest.(check (list string)) "no stale baseline entries" []
         outcome.Driver.stale_baseline;
-      Alcotest.(check bool) "scanned a real number of files" true
-        (outcome.Driver.files_scanned > 50)
+      let files =
+        match
+          Option.bind (Report.member "summary" outcome.Driver.report)
+            (Report.member "files_scanned")
+        with
+        | Some (Report.Num n) -> int_of_float n
+        | _ -> 0
+      in
+      Alcotest.(check bool) "scanned a real number of files" true (files > 50)
+
+(* One baseline file governs every rule family: a per-file entry and a
+   whole-program entry both grandfather their findings, while an
+   unused-export entry in the same file matches nothing and stays stale,
+   because an API with no caller is never grandfathered. *)
+let test_one_baseline () =
+  let units =
+    [
+      ( "lib/demo/table.mli",
+        "val dump : ('a, 'b) Hashtbl.t -> ('a * 'b) list\nval probe : unit -> unit\n\
+         val unused : int\n" );
+      ( "lib/demo/table.ml",
+        "let dump t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []\nlet probe () = ()\n\
+         let unused = 0\n" );
+      ("bin/app.ml", "let _ = Table.dump\n");
+      ("test/test_table.ml", "let () = Table.probe ()\n");
+    ]
+  in
+  let path = Filename.temp_file "dcp_lint_baseline" ".txt" in
+  let oc = open_out path in
+  output_string oc
+    "# reviewed\n\
+     hashtbl-order lib/demo/table.ml dump/Hashtbl.fold\n\
+     test-only-export lib/demo/table.mli Table/probe\n\
+     unused-export lib/demo/table.mli Table/unused\n";
+  close_out oc;
+  let o = Driver.analyze ~root:"." ~units ~baseline:(Baseline.load ~path) in
+  Sys.remove path;
+  let baselined rule =
+    List.exists (fun f -> String.equal f.Finding.rule rule && f.Finding.baselined) o.Driver.findings
+  in
+  Alcotest.(check bool) "hashtbl-order entry grandfathers its finding" true
+    (baselined "hashtbl-order");
+  Alcotest.(check bool) "test-only-export entry grandfathers its finding" true
+    (baselined "test-only-export");
+  Alcotest.(check (list string)) "only the unused export stays active"
+    [ "unused-export lib/demo/table.mli Table/unused" ]
+    (List.map Finding.key o.Driver.active);
+  Alcotest.(check (list string)) "and its entry is stale"
+    [ "unused-export lib/demo/table.mli Table/unused" ]
+    o.Driver.stale_baseline
 
 let tests =
   [
@@ -259,4 +301,5 @@ let tests =
     Alcotest.test_case "baseline staleness" `Quick test_baseline_stale;
     Alcotest.test_case "report json round-trip" `Quick test_report_roundtrip;
     Alcotest.test_case "tree clean modulo baseline" `Quick test_tree_clean;
+    Alcotest.test_case "one baseline for every rule family" `Quick test_one_baseline;
   ]

@@ -1,12 +1,12 @@
-(* The whole-program proto tier: each fixture trips exactly its rule, the
-   clean fixture is silent, the proto report round-trips through its
-   reader (the fixture document and the whole tree's), and the real tree
-   is clean modulo the committed proto baseline. *)
+(* The whole-program protocol rules: each fixture trips exactly its rule,
+   the clean fixture is silent, the report round-trips through its reader
+   (the fixture document and the whole tree's), and the real tree is clean
+   modulo the committed baseline. *)
 
 module Finding = Dcp_lint.Finding
 module Baseline = Dcp_lint.Baseline
 module Report = Dcp_lint.Report
-module Proto_driver = Dcp_lint.Proto_driver
+module Driver = Dcp_lint.Driver
 
 let read_file path =
   let ic = open_in_bin path in
@@ -18,12 +18,24 @@ let read_file path =
 let read_fixture name = read_file (Filename.concat "lint_fixtures" name)
 
 (* Analyze a fixture set as one whole program rooted at fabricated lib
-   paths. *)
+   paths; each fixture gets an empty interface, so mli-missing stays out
+   of the way. *)
 let analyze names =
-  let units = List.map (fun (path, fixture) -> (path, read_fixture fixture)) names in
-  Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ())
+  let units =
+    List.concat_map
+      (fun (path, fixture) ->
+        [ (path, read_fixture fixture); (Filename.chop_suffix path ".ml" ^ ".mli", "") ])
+      names
+  in
+  Driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ())
 
 let rules_of findings = List.map (fun f -> f.Finding.rule) findings
+
+(* A count in the report's [summary]. *)
+let summary_count (o : Driver.outcome) name =
+  match Option.bind (Report.member "summary" o.Driver.report) (Report.member name) with
+  | Some (Report.Num n) -> int_of_float n
+  | _ -> Alcotest.failf "summary.%s missing" name
 
 let has ~rule ?token findings =
   List.exists
@@ -36,40 +48,40 @@ let test_dead_letter () =
   let o = analyze [ ("lib/demo/proto_dead_letter.ml", "proto_dead_letter.ml") ] in
   Alcotest.(check bool)
     (Printf.sprintf "peer_vanished is a dead letter (got: %s)"
-       (String.concat ", " (rules_of o.Proto_driver.active)))
+       (String.concat ", " (rules_of o.Driver.active)))
     true
-    (has ~rule:"proto-dead-letter" ~token:"peer_vanished" o.Proto_driver.active);
+    (has ~rule:"proto-dead-letter" ~token:"peer_vanished" o.Driver.active);
   Alcotest.(check bool) "the handled ping send is not" false
-    (has ~rule:"proto-dead-letter" ~token:"ping" o.Proto_driver.findings);
+    (has ~rule:"proto-dead-letter" ~token:"ping" o.Driver.findings);
   (* The graph still records the handled flow. *)
-  Alcotest.(check bool) "flow edge present" true (o.Proto_driver.edges <> [])
+  Alcotest.(check bool) "flow edge present" true (summary_count o "flow_edges" > 0)
 
 let test_missing_reply () =
   let o = analyze [ ("lib/demo/proto_missing_reply.ml", "proto_missing_reply.ml") ] in
   Alcotest.(check bool)
     (Printf.sprintf "fetch miss path flagged (got: %s)"
-       (String.concat ", " (rules_of o.Proto_driver.active)))
+       (String.concat ", " (rules_of o.Driver.active)))
     true
-    (has ~rule:"proto-reply-obligation" ~token:"fetch" o.Proto_driver.active)
+    (has ~rule:"proto-reply-obligation" ~token:"fetch" o.Driver.active)
 
 let test_escape_helper () =
   let o = analyze [ ("lib/demo/proto_escape_helper.ml", "proto_escape_helper.ml") ] in
   Alcotest.(check bool)
     (Printf.sprintf "laundered Bytes payload flagged (got: %s)"
-       (String.concat ", " (rules_of o.Proto_driver.active)))
+       (String.concat ", " (rules_of o.Driver.active)))
     true
-    (has ~rule:"proto-escape" o.Proto_driver.active)
+    (has ~rule:"mutable-payload" o.Driver.active)
 
 let test_clean () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
   Alcotest.(check (list string)) "zero findings" []
-    (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.findings);
+    (List.map (Format.asprintf "%a" Finding.pp) o.Driver.findings);
   Alcotest.(check (list string)) "zero warnings" []
-    (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.warnings)
+    (List.map (Format.asprintf "%a" Finding.pp) o.Driver.warnings)
 
 let test_dot_export () =
   let o = analyze [ ("lib/demo/proto_clean.ml", "proto_clean.ml") ] in
-  let dot = o.Proto_driver.dot in
+  let dot = o.Driver.dot in
   Alcotest.(check bool) "starts with digraph" true
     (String.length dot > 7 && String.equal (String.sub dot 0 7) "digraph");
   let count c = String.fold_left (fun n ch -> if ch = c then n + 1 else n) 0 dot in
@@ -107,9 +119,9 @@ let flagged ~rule findings =
     findings
 
 (* The rule's count in the report's [summary.rules]. *)
-let rule_total (o : Proto_driver.outcome) rule =
+let rule_total (o : Driver.outcome) rule =
   match
-    Option.bind (Report.member "summary" o.Proto_driver.report) (fun s ->
+    Option.bind (Report.member "summary" o.Driver.report) (fun s ->
         Option.bind (Report.member "rules" s) (fun r ->
             Option.bind (Report.member rule r) (Report.member "total")))
   with
@@ -118,54 +130,54 @@ let rule_total (o : Proto_driver.outcome) rule =
 
 let test_unused_export () =
   let units = widget_units ~test_source:"module W = Widget\nlet () = W.probe ()\n" in
-  let o = Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ()) in
+  let o = Driver.analyze ~root:"." ~units ~baseline:(Baseline.empty ()) in
   Alcotest.(check (list string))
     "only the unused values" [ "Widget.unused"; "Widget.Inner.shallow" ]
-    (flagged ~rule:"unused-export" o.Proto_driver.active);
+    (flagged ~rule:"unused-export" o.Driver.active);
   (* A value only test/ names is exactly one test-only-export finding. *)
   Alcotest.(check (list string))
     "probe is test-only" [ "Widget.probe" ]
-    (flagged ~rule:"test-only-export" o.Proto_driver.active);
+    (flagged ~rule:"test-only-export" o.Driver.active);
   Alcotest.(check int) "the report counts it" 1 (rule_total o "test-only-export");
   (* Baselining an unused export does not hide it: the entry goes stale.
      Baselining the test-only one does. *)
-  let path = Filename.temp_file "proto_baseline" ".txt" in
-  Baseline.save ~path o.Proto_driver.findings;
-  let again = Proto_driver.analyze ~root:"." ~units ~baseline:(Baseline.load ~path) in
+  let path = Filename.temp_file "lint_baseline" ".txt" in
+  Baseline.save ~path o.Driver.findings;
+  let again = Driver.analyze ~root:"." ~units ~baseline:(Baseline.load ~path) in
   Alcotest.(check (list string))
     "baselined unused ones stay active" [ "Widget.unused"; "Widget.Inner.shallow" ]
-    (flagged ~rule:"unused-export" again.Proto_driver.active);
+    (flagged ~rule:"unused-export" again.Driver.active);
   Alcotest.(check (list string))
     "the baselined test-only one is inactive" []
-    (flagged ~rule:"test-only-export" again.Proto_driver.active);
+    (flagged ~rule:"test-only-export" again.Driver.active);
   Alcotest.(check int) "the unused ones' entries are stale" 2
-    (List.length again.Proto_driver.stale_baseline);
+    (List.length again.Driver.stale_baseline);
   (* Dropping the test's use turns probe into an unused export, which the
      baseline cannot hide, and leaves its test-only entry stale. *)
   let unused_now = widget_units ~test_source:"let () = ()\n" in
-  let dropped = Proto_driver.analyze ~root:"." ~units:unused_now ~baseline:(Baseline.load ~path) in
+  let dropped = Driver.analyze ~root:"." ~units:unused_now ~baseline:(Baseline.load ~path) in
   Sys.remove path;
   Alcotest.(check (list string))
     "probe is now unused" [ "Widget.unused"; "Widget.probe"; "Widget.Inner.shallow" ]
-    (flagged ~rule:"unused-export" dropped.Proto_driver.active);
+    (flagged ~rule:"unused-export" dropped.Driver.active);
   Alcotest.(check bool) "its test-only entry is stale" true
     (List.mem "test-only-export lib/demo/widget.mli Widget/probe"
-       dropped.Proto_driver.stale_baseline)
+       dropped.Driver.stale_baseline)
 
 (* The report's document shape: renders and parses back unchanged, names
    its schema and counts active findings. *)
-let check_report (o : Proto_driver.outcome) =
-  let parsed = Report.parse (Report.render o.Proto_driver.report) in
-  Alcotest.(check bool) "render/parse round-trips" true (parsed = o.Proto_driver.report);
+let check_report (o : Driver.outcome) =
+  let parsed = Report.parse (Report.render o.Driver.report) in
+  Alcotest.(check bool) "render/parse round-trips" true (parsed = o.Driver.report);
   (match Report.member "schema" parsed with
-  | Some (Report.Str s) -> Alcotest.(check string) "schema" "dcp.lint.proto/v1" s
+  | Some (Report.Str s) -> Alcotest.(check string) "schema" "dcp.lint.report/v2" s
   | _ -> Alcotest.fail "schema member missing");
   match Report.member "summary" parsed with
   | Some summary -> (
       match Report.member "active" summary with
       | Some (Report.Num active) ->
           Alcotest.(check int) "active counted"
-            (List.length o.Proto_driver.active)
+            (List.length o.Driver.active)
             (int_of_float active)
       | _ -> Alcotest.fail "summary.active missing")
   | None -> Alcotest.fail "summary member missing"
@@ -181,7 +193,7 @@ let find_repo_root () =
     else if
       Sys.file_exists (Filename.concat dir "dune-project")
       && Sys.file_exists (Filename.concat dir ".git")
-      && Sys.file_exists (Filename.concat dir "proto_baseline.txt")
+      && Sys.file_exists (Filename.concat dir "lint_baseline.txt")
     then Some dir
     else
       let parent = Filename.dirname dir in
@@ -189,35 +201,34 @@ let find_repo_root () =
   in
   up (Sys.getcwd ()) 0
 
-let test_tree_clean () =
-  match find_repo_root () with
-  | None -> ()  (* enforced by `dune build @lint` regardless *)
-  | Some root ->
-      let o =
-        Proto_driver.run ~root ~baseline_path:(Filename.concat root "proto_baseline.txt") ()
-      in
-      Alcotest.(check (list string)) "no active findings (tree clean modulo baseline)" []
-        (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.active);
-      Alcotest.(check (list string)) "no unbaselined warnings" []
-        (List.map (Format.asprintf "%a" Finding.pp) o.Proto_driver.warnings);
-      Alcotest.(check (list string)) "no stale proto baseline entries" []
-        o.Proto_driver.stale_baseline;
-      Alcotest.(check bool) "scanned a real number of units" true
-        (o.Proto_driver.units_scanned > 50);
-      Alcotest.(check bool) "flow graph is non-trivial" true
-        (List.length o.Proto_driver.edges > 20)
+(* The tree's outcome, shared by the two tree cases. *)
+let tree =
+  lazy
+    (Option.map
+       (fun root -> Driver.run ~root ~baseline_path:(Filename.concat root "lint_baseline.txt"))
+       (find_repo_root ()))
 
-(* The whole tree's report, as @proto-dot writes it to _build: the same
+let test_tree_clean () =
+  match Lazy.force tree with
+  | None -> ()  (* enforced by `dune build @lint` regardless *)
+  | Some o ->
+      Alcotest.(check (list string)) "no active findings (tree clean modulo baseline)" []
+        (List.map (Format.asprintf "%a" Finding.pp) o.Driver.active);
+      Alcotest.(check (list string)) "no unbaselined warnings" []
+        (List.map (Format.asprintf "%a" Finding.pp) o.Driver.warnings);
+      Alcotest.(check (list string)) "no stale baseline entries" [] o.Driver.stale_baseline;
+      Alcotest.(check bool) "scanned a real number of units" true
+        (summary_count o "files_scanned" > 50);
+      Alcotest.(check bool) "flow graph is non-trivial" true (summary_count o "flow_edges" > 20)
+
+(* The whole tree's report, as @lint writes it to _build: the same
    round-trip and schema checks, with a clean tree ([summary.active = 0]). *)
 let test_tree_report () =
-  match find_repo_root () with
+  match Lazy.force tree with
   | None -> ()
-  | Some root ->
-      let o =
-        Proto_driver.run ~root ~baseline_path:(Filename.concat root "proto_baseline.txt") ()
-      in
+  | Some o ->
       check_report o;
-      Alcotest.(check int) "clean tree" 0 (List.length o.Proto_driver.active)
+      Alcotest.(check int) "clean tree" 0 (List.length o.Driver.active)
 
 let tests =
   [
