@@ -1,4 +1,4 @@
-(* The paper-shape experiments E1-E8 (see DESIGN.md §4).  Each experiment
+(* The paper-shape experiments E1-E10 (see DESIGN.md §4).  Each experiment
    builds a fresh simulated world, drives it, and prints one table.  All
    numbers are virtual-time measurements, reproducible from the seeds. *)
 

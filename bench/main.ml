@@ -1,8 +1,9 @@
 (* Benchmark harness: regenerates every experiment table of DESIGN.md §4
-   (E1-E8) on the simulator, then runs the bechamel micro-benchmarks.
+   (E1-E10) on the simulator, then runs the bechamel micro-benchmarks.
 
    Run with:  dune exec bench/main.exe
-   Pass experiment ids (e1 ... e8, micro) to run a subset.
+   Pass ids from the registry below (e1 ... e10, micro, ...) to run a
+   subset.  An unknown id runs nothing and exits 2.
 
    `dune exec bench/main.exe -- micro` additionally writes BENCH_micro.json
    (ns/op per hot-path row; schema in DESIGN.md §6) — the machine-readable
@@ -30,19 +31,17 @@ let registry =
 
 let () =
   let requested = List.tl (Array.to_list Sys.argv) in
+  let find name = List.assoc_opt (String.lowercase_ascii name) registry in
+  (match List.filter (fun name -> Option.is_none (find name)) requested with
+  | [] -> ()
+  | unknown ->
+      List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+      Printf.eprintf "known: %s\n" (String.concat ", " (List.map fst registry));
+      exit 2);
   let to_run =
     match requested with
     | [] -> registry
-    | names ->
-        List.filter_map
-          (fun name ->
-            match List.assoc_opt (String.lowercase_ascii name) registry with
-            | Some f -> Some (name, f)
-            | None ->
-                Printf.eprintf "unknown experiment %S (known: %s)\n" name
-                  (String.concat ", " (List.map fst registry));
-                None)
-          names
+    | names -> List.map (fun name -> (name, Option.get (find name))) names
   in
   print_endline "Primitives for Distributed Computing (Liskov, SOSP 1979) — reproduction benches";
   List.iter

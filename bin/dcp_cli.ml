@@ -41,7 +41,7 @@ let run_airline regions flights capacity org centralized clerks duration crash_a
       centralized;
       clerks_per_region = clerks;
       seed;
-      clerk = { Workload.default_config with transactions = 0; flights = regions * flights };
+      clerk = { Workload.default_config with transactions = 0 };
     }
   in
   let cluster = Cluster.build params in
@@ -130,7 +130,7 @@ let run_bank transfers crash_coordinator seed =
           done;
           Runtime.sleep ctx (Clock.s 10);
           Printf.printf "transfers ok/other: %d/%d\n%!" !ok !failed;
-          (match Dcp_bank.Audit.total_balance ctx ~branches:[ b0; b1 ] () with
+          (match Dcp_bank.Audit.total_balance ctx ~branches:[ b0; b1 ] with
           | Ok total -> Printf.printf "audit total: %d (expected 8000)\n%!" total
           | Error reason -> Printf.printf "audit failed: %s\n%!" reason);
           Printf.printf "incomplete sagas: %d\n%!"

@@ -29,7 +29,6 @@ let () =
           transactions = 0 (* run all day *);
           requests_per_transaction = 5;
           think_time = Clock.ms 50;
-          flights = 16;
           dates = 14;
           request_timeout = Clock.ms 800;
           attempts = 3;

@@ -65,7 +65,7 @@ let () =
           done;
           (* Let stragglers settle, then audit. *)
           Runtime.sleep ctx (Clock.s 10);
-          (match Audit.total_balance ctx ~branches:[ b0; b1 ] () with
+          (match Audit.total_balance ctx ~branches:[ b0; b1 ] with
           | Ok total ->
               Format.printf "@.audit: %d cents on the books (started with %d) — %s@." total
                 initial_total

@@ -10,11 +10,9 @@ type params = {
   flights_per_region : int;
   capacity : int;
   organization : Types.organization;
-  accounting : Types.accounting;
   service_time : Clock.time;
   clerks_per_region : int;
   clerk : Workload.config;
-  local_fraction : float;
   inter_node : Link.t;
   centralized : bool;
   processors_per_node : int;
@@ -29,11 +27,9 @@ let default_params =
     flights_per_region = 4;
     capacity = 50;
     organization = Types.Monitor;
-    accounting = Types.Idempotent_set;
     service_time = Clock.ms 1;
     clerks_per_region = 2;
-    clerk = { Workload.default_config with flights = 16; transactions = 0 };
-    local_fraction = 0.8;
+    clerk = { Workload.default_config with transactions = 0 };
     inter_node = Link.wan;
     centralized = false;
     processors_per_node = 8;
@@ -41,6 +37,10 @@ let default_params =
     checkpoint_every = None;
     seed = 7;
   }
+
+(* Probability that a clerk's request concerns a flight of its own
+   region: the locality the Figure 2 layout exploits. *)
+let local_fraction = 0.8
 
 type t = {
   world : Runtime.world;
@@ -74,7 +74,7 @@ let build p =
       (fun r ->
         let at = if p.centralized then 0 else r in
         Regional.create world ~at ~flights:(flights_of_region p r)
-          ~organization:p.organization ~service_time:p.service_time ~accounting:p.accounting ())
+          ~organization:p.organization ~service_time:p.service_time ())
       region_ids
   in
   (* The front desk directory is indexed by flight mod regions, matching
@@ -91,12 +91,11 @@ let build p =
     (fun r _ ->
       let total = p.regions * p.flights_per_region in
       let pick rng =
-        if Dcp_rng.Rng.bernoulli rng p.local_fraction then
+        if Dcp_rng.Rng.bernoulli rng local_fraction then
           r + (p.regions * Dcp_rng.Rng.int rng p.flights_per_region)
         else Dcp_rng.Rng.int rng total
       in
-      let config = { p.clerk with Workload.flights = total; flight_picker = Some pick } in
-      Workload.install world ~name:(Printf.sprintf "clerk.r%d" r) config)
+      Workload.install world ~name:(Printf.sprintf "clerk.r%d" r) ~pick_flight:pick p.clerk)
     region_ids;
   List.iteri
     (fun r front_desk ->

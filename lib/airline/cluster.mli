@@ -6,7 +6,10 @@
 
     A cluster builds one node per region; each node hosts its regional
     manager (with that region's flight guardians), a front desk, and that
-    region's clerks.  Flight [f] belongs to region [f mod regions].  The
+    region's clerks.  Flight [f] belongs to region [f mod regions].  Every
+    flight uses {!Types.Idempotent_set} accounting, and a clerk's request
+    concerns a flight of its own region with probability 0.8 (otherwise
+    any flight, uniformly): the locality the Figure 2 layout exploits.  The
     [centralized] variant keeps every flight guardian behind a single
     regional manager at node 0 — the §2.3 single-top-level-guardian layout
     — so E2 can compare the two organizations the paper contrasts. *)
@@ -18,13 +21,9 @@ type params = {
   flights_per_region : int;
   capacity : int;
   organization : Types.organization;
-  accounting : Types.accounting;
   service_time : Clock.time;
   clerks_per_region : int;
   clerk : Workload.config;
-  local_fraction : float;
-      (** probability a clerk's request concerns a flight of its own
-          region — the locality the Figure 2 layout exploits *)
   inter_node : Dcp_net.Link.t;  (** link between airline nodes *)
   centralized : bool;
   processors_per_node : int;  (** CPUs per node ({!Dcp_core.Runtime.compute}) *)

@@ -463,23 +463,21 @@ let args ~flight ~capacity ?(waitlist_capacity = 10) ?(organization = Types.Moni
     Value.int partner_floor;
   ]
 
-let create_with_admin world ~at ~flight ~capacity ?waitlist_capacity ?organization
-    ?service_time ?accounting ?partner_floor () =
-  let args =
-    args ~flight ~capacity ?waitlist_capacity ?organization ?service_time ?accounting
-      ?partner_floor ()
-  in
+let spawn world ~at args =
   if Runtime.find_def world def_name = None then Runtime.register_def world def;
   let g = Runtime.create_guardian world ~at ~def_name ~args in
   match Runtime.guardian_ports g with
   | [ request; admin ] -> (request, admin)
   | _ -> invalid_arg "flight guardian: unexpected port layout"
 
+let create_with_admin world ~at ~flight ~capacity ?service_time ?partner_floor () =
+  spawn world ~at (args ~flight ~capacity ?service_time ?partner_floor ())
+
 let create world ~at ~flight ~capacity ?waitlist_capacity ?organization ?service_time
     ?accounting () =
   fst
-    (create_with_admin world ~at ~flight ~capacity ?waitlist_capacity ?organization
-       ?service_time ?accounting ())
+    (spawn world ~at
+       (args ~flight ~capacity ?waitlist_capacity ?organization ?service_time ?accounting ()))
 
 (* External, read-only view of a flight store's seat ledger, keyed the way
    the store is.  Invariant oracles (Dcp_check) consume this instead of

@@ -48,16 +48,14 @@ val create_with_admin :
   at:Dcp_core.Runtime.node_id ->
   flight:Types.flight_no ->
   capacity:int ->
-  ?waitlist_capacity:int ->
-  ?organization:Types.organization ->
   ?service_time:Dcp_sim.Clock.time ->
-  ?accounting:Types.accounting ->
   ?partner_floor:int ->
   unit ->
   Port_name.t * Port_name.t
-(** Like {!create} but also returns the privately held admin port
-    (stats / list / archive).  Whoever is given this name holds the
-    administrative capability. *)
+(** Like {!create} with the default waitlist, organization and accounting,
+    but also returns the privately held admin port (stats / list /
+    archive).  Whoever is given this name holds the administrative
+    capability. *)
 
 val create :
   Dcp_core.Runtime.world ->

@@ -7,11 +7,10 @@ module Clock = Dcp_sim.Clock
 
 let def_name = "front_desk"
 
-type config = {
-  regionals : Port_name.t array;
-  request_timeout : Clock.time;
-  idle_timeout : Clock.time;
-}
+type config = { regionals : Port_name.t array; request_timeout : Clock.time }
+
+(* A conversation whose clerk sends nothing for this long is abandoned. *)
+let idle_timeout = Clock.s 60
 
 let regional_for config flight =
   config.regionals.(flight mod Array.length config.regionals)
@@ -71,7 +70,7 @@ let do_undo state =
 let do_trans ctx config ~passenger ~trans_port =
   let state = { passenger; history = []; deferred = [] } in
   let rec loop () =
-    match Runtime.receive ctx ~timeout:config.idle_timeout [ trans_port ] with
+    match Runtime.receive ctx ~timeout:idle_timeout [ trans_port ] with
     | `Timeout ->
         (* The clerk went away; abandon the conversation. *)
         Runtime.remove_port ctx trans_port
@@ -121,12 +120,8 @@ let serve ctx config =
 
 let parse_args args =
   match args with
-  | [ Value.Listv regionals; Value.Int request_timeout; Value.Int idle_timeout ] ->
-      {
-        regionals = Array.of_list (List.map Value.get_port regionals);
-        request_timeout;
-        idle_timeout;
-      }
+  | [ Value.Listv regionals; Value.Int request_timeout ] ->
+      { regionals = Array.of_list (List.map Value.get_port regionals); request_timeout }
   | _ -> invalid_arg "front_desk guardian: bad creation arguments"
 
 let config_key = "_config"
@@ -151,15 +146,11 @@ let def : Runtime.def =
               serve ctx (parse_args (Value.get_list (Codec.decode_exn encoded))));
   }
 
-let args ~regionals ?(request_timeout = Clock.ms 500) ?(idle_timeout = Clock.s 60) () =
-  [
-    Value.list (List.map Value.port regionals);
-    Value.int request_timeout;
-    Value.int idle_timeout;
-  ]
+let args ~regionals ?(request_timeout = Clock.ms 500) () =
+  [ Value.list (List.map Value.port regionals); Value.int request_timeout ]
 
-let create world ~at ~regionals ?request_timeout ?idle_timeout () =
+let create world ~at ~regionals ?request_timeout () =
   if Runtime.find_def world def_name = None then Runtime.register_def world def;
-  let args = args ~regionals ?request_timeout ?idle_timeout () in
+  let args = args ~regionals ?request_timeout () in
   let g = Runtime.create_guardian world ~at ~def_name ~args in
   List.hd (Runtime.guardian_ports g)

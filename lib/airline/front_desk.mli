@@ -20,7 +20,8 @@
       [undone | nothing_to_undo] (undoing a reserve schedules a cancel,
       undoing a deferred cancel simply forgets it); [finish] → performs the
       deferred cancels and replies [finished(cancels_done, cancels_failed)],
-      then the process terminates.
+      then the process terminates.  A transaction process that hears
+      nothing from its clerk for 60 s abandons the conversation.
 
     The guardian itself recovers after a node crash (so new transactions
     can start), but in-flight transactions are forgotten (§3.5): their
@@ -33,6 +34,5 @@ val create :
   at:Dcp_core.Runtime.node_id ->
   regionals:Port_name.t list ->
   ?request_timeout:Dcp_sim.Clock.time ->
-  ?idle_timeout:Dcp_sim.Clock.time ->
   unit ->
   Port_name.t

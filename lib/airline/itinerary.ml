@@ -59,7 +59,7 @@ let book_trip ctx directory ~txid ~passenger legs =
   match build [] legs with
   | Error reason -> ("unavailable", [ Value.str reason ])
   | Ok participants -> (
-      match Two_phase.coordinate ctx ~txid ~participants () with
+      match Two_phase.coordinate ctx ~txid ~participants with
       | Two_phase.Committed -> ("booked", [])
       | Two_phase.Aborted reason -> ("unavailable", [ Value.str reason ]))
 

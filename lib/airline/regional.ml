@@ -48,19 +48,18 @@ let config_key = "_config"
 
 let parse_args args =
   match args with
-  | [ Value.Listv flights; Value.Int waitlist; Value.Str org; Value.Int service; Value.Str acc ]
-    ->
+  | [ Value.Listv flights; Value.Int waitlist; Value.Str org; Value.Int service ] ->
       let parse_flight = function
         | Value.Tuple [ Value.Int flight; Value.Int capacity ] -> { flight; capacity }
         | _ -> invalid_arg "regional guardian: bad flight config"
       in
-      (List.map parse_flight flights, waitlist, org, service, acc)
+      (List.map parse_flight flights, waitlist, org, service)
   | _ -> invalid_arg "regional guardian: bad creation arguments"
 
 let directory_key flight = Printf.sprintf "flight:%d" flight
 
 let build ctx args =
-  let flights, waitlist, org, service, acc = parse_args args in
+  let flights, waitlist, org, service = parse_args args in
   let state = { directory = Hashtbl.create 64 } in
   List.iter
     (fun { flight; capacity } ->
@@ -71,7 +70,7 @@ let build ctx args =
           Value.int waitlist;
           Value.str org;
           Value.int service;
-          Value.str acc;
+          Value.str (Types.accounting_to_string Types.Idempotent_set);
           Value.int 0;
         ]
       in
@@ -117,19 +116,18 @@ let def : Runtime.def =
   }
 
 let args ~flights ?(waitlist_capacity = 10) ?(organization = Types.Monitor)
-    ?(service_time = Clock.ms 1) ?(accounting = Types.Idempotent_set) () =
+    ?(service_time = Clock.ms 1) () =
   [
     Value.list
       (List.map (fun { flight; capacity } -> Value.tuple [ Value.int flight; Value.int capacity ]) flights);
     Value.int waitlist_capacity;
     Value.str (Types.organization_to_string organization);
     Value.int service_time;
-    Value.str (Types.accounting_to_string accounting);
   ]
 
-let create world ~at ~flights ?waitlist_capacity ?organization ?service_time ?accounting () =
+let create world ~at ~flights ?waitlist_capacity ?organization ?service_time () =
   if Runtime.find_def world Flight.def_name = None then Runtime.register_def world Flight.def;
   if Runtime.find_def world def_name = None then Runtime.register_def world def;
-  let args = args ~flights ?waitlist_capacity ?organization ?service_time ?accounting () in
+  let args = args ~flights ?waitlist_capacity ?organization ?service_time () in
   let g = Runtime.create_guardian world ~at ~def_name ~args in
   List.hd (Runtime.guardian_ports g)

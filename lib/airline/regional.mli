@@ -21,8 +21,8 @@ val create :
   ?waitlist_capacity:int ->
   ?organization:Types.organization ->
   ?service_time:Dcp_sim.Clock.time ->
-  ?accounting:Types.accounting ->
   unit ->
   Port_name.t
-(** Bootstrap helper: create the guardian (and its flight guardians) and
-    return the regional request port. *)
+(** Bootstrap helper: create the guardian (and its flight guardians, all
+    with {!Types.Idempotent_set} accounting) and return the regional
+    request port. *)

@@ -9,14 +9,11 @@ type config = {
   transactions : int;
   requests_per_transaction : int;
   think_time : Clock.time;
-  flights : int;
   dates : int;
   reserve_fraction : float;
   undo_fraction : float;
   request_timeout : Clock.time;
   attempts : int;
-  zipf_flights : bool;
-  flight_picker : (Rng.t -> int) option;
 }
 
 let default_config =
@@ -24,14 +21,11 @@ let default_config =
     transactions = 10;
     requests_per_transaction = 5;
     think_time = Clock.ms 10;
-    flights = 8;
     dates = 30;
     reserve_fraction = 0.8;
     undo_fraction = 0.05;
     request_timeout = Clock.ms 500;
     attempts = 3;
-    zipf_flights = false;
-    flight_picker = None;
   }
 
 let count world name = Metrics.incr (Metrics.counter (Runtime.metrics world) name)
@@ -46,15 +40,8 @@ let think ctx rng config =
   if config.think_time > 0 then
     Runtime.sleep ctx (Clock.of_float_s (Rng.exponential rng ~mean:(Clock.to_float_s config.think_time)))
 
-let pick_flight rng config =
-  match config.flight_picker with
-  | Some pick -> pick rng
-  | None ->
-      if config.zipf_flights then Rng.zipf rng ~n:config.flights ~s:1.1
-      else Rng.int rng config.flights
-
 (* One transaction session; returns [true] if it ran to a clean finish. *)
-let run_session ctx world rng config ~front_desk ~passenger =
+let run_session ctx world rng config ~pick_flight ~front_desk ~passenger =
   match
     Rpc.call ctx ~to_:front_desk ~timeout:config.request_timeout ~attempts:config.attempts
       "begin_transaction" [ Value.str passenger ]
@@ -70,11 +57,11 @@ let run_session ctx world rng config ~front_desk ~passenger =
           if Rng.bernoulli rng config.reserve_fraction then
             Rpc.call ctx ~to_:trans ~timeout:config.request_timeout ~attempts:config.attempts
               "reserve"
-              [ Value.int (pick_flight rng config); Value.int (Rng.int rng config.dates) ]
+              [ Value.int (pick_flight rng); Value.int (Rng.int rng config.dates) ]
           else
             Rpc.call ctx ~to_:trans ~timeout:config.request_timeout ~attempts:config.attempts
               "cancel"
-              [ Value.int (pick_flight rng config); Value.int (Rng.int rng config.dates) ]
+              [ Value.int (pick_flight rng); Value.int (Rng.int rng config.dates) ]
         in
         observe_latency world ~started ctx;
         (match outcome with
@@ -123,21 +110,21 @@ let run_session ctx world rng config ~front_desk ~passenger =
       count world "clerk.begin.failed";
       false
 
-let clerk_body world config rng ctx args =
+let clerk_body world config ~pick_flight rng ctx args =
   match args with
   | [ Value.Portv front_desk ] ->
       let clerk_tag = Runtime.guardian_id (Runtime.ctx_guardian ctx) in
       let rec sessions n =
         if config.transactions = 0 || n < config.transactions then begin
           let passenger = Printf.sprintf "p%d.%d" clerk_tag n in
-          ignore (run_session ctx world rng config ~front_desk ~passenger);
+          ignore (run_session ctx world rng config ~pick_flight ~front_desk ~passenger);
           sessions (n + 1)
         end
       in
       sessions 0
   | _ -> invalid_arg "clerk guardian: expected [front_desk_port]"
 
-let install world ~name config =
+let install world ~name ~pick_flight config =
   let def : Runtime.def =
     {
       Runtime.def_name = name;
@@ -146,7 +133,7 @@ let install world ~name config =
         (fun ctx args ->
           (* Each clerk instance gets an independent random stream. *)
           let rng = Rng.split (Runtime.world_rng world) in
-          clerk_body world config rng ctx args);
+          clerk_body world config ~pick_flight rng ctx args);
       recover = None;
     }
   in

@@ -19,25 +19,26 @@ type config = {
   transactions : int;  (** sessions to run; 0 = until the simulation ends *)
   requests_per_transaction : int;
   think_time : Clock.time;  (** mean of the exponential think-time *)
-  flights : int;  (** flight numbers are drawn from [0, flights) *)
   dates : int;  (** dates are drawn from [0, dates) *)
   reserve_fraction : float;  (** remaining requests are deferred cancels *)
   undo_fraction : float;  (** probability of an undo after a request *)
   request_timeout : Clock.time;
   attempts : int;  (** tries per request (1 = no retry) *)
-  zipf_flights : bool;  (** skewed flight popularity instead of uniform *)
-  flight_picker : (Dcp_rng.Rng.t -> int) option;
-      (** overrides flight choice entirely — used to give clerks an
-          affinity for their own region's flights (Figure 2's locality) *)
 }
 
 val default_config : config
 
 val install :
-  Dcp_core.Runtime.world -> name:string -> config -> unit
+  Dcp_core.Runtime.world ->
+  name:string ->
+  pick_flight:(Dcp_rng.Rng.t -> int) ->
+  config ->
+  unit
 (** Register a clerk guardian definition under [name].  Creation args:
     [\[Portv front_desk\]].  Each instance draws from an independent split
-    of the world's workload RNG. *)
+    of the world's workload RNG; [pick_flight] draws the flight number of
+    every reserve and cancel from it ({!Cluster} biases it towards the
+    clerk's own region, Figure 2's locality). *)
 
 val create_clerk :
   Dcp_core.Runtime.world ->

@@ -2,7 +2,10 @@ open Dcp_wire
 module Rpc = Dcp_primitives.Rpc
 module Clock = Dcp_sim.Clock
 
-let total_balance ctx ~branches ?(timeout = Clock.ms 500) () =
+(* Each query is one RPC of up to three tries, each waiting this long. *)
+let timeout = Clock.ms 500
+
+let total_balance ctx ~branches =
   let query acc branch =
     match acc with
     | Error _ -> acc
@@ -15,7 +18,7 @@ let total_balance ctx ~branches ?(timeout = Clock.ms 500) () =
   in
   List.fold_left query (Ok 0) branches
 
-let balance_of ctx ~branch ~account ?(timeout = Clock.ms 500) () =
+let balance_of ctx ~branch ~account =
   match Rpc.call ctx ~to_:branch ~timeout ~attempts:3 "balance" [ Value.str account ] with
   | Rpc.Reply ("balance", [ Value.Int amount ]) -> Ok amount
   | Rpc.Reply ("no_account", _) -> Error "no such account"

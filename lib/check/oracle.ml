@@ -249,7 +249,7 @@ let replica_sync_budget ~budget =
 
 (* ---- register / snapshot ---- *)
 
-let linearizable ~clients ?(max_states = 200_000) () =
+let linearizable ~clients =
   {
     name = "linearizable";
     check =
@@ -257,7 +257,7 @@ let linearizable ~clients ?(max_states = 200_000) () =
         let* stores = live_stores world ~def_name:clients in
         let events = List.concat_map Linearize.events_in_store stores in
         if events = [] then Error "no operation was recorded"
-        else Linearize.check ~max_states events);
+        else Linearize.check events);
   }
 
 (* Same convergence predicate as the replica oracle, over the SCD objects'

@@ -84,12 +84,13 @@ val replica_sync_budget : budget:int -> t
 
 (** {1 Register / snapshot oracles} *)
 
-val linearizable : clients:string -> ?max_states:int -> unit -> t
+val linearizable : clients:string -> t
 (** The operation histories captured in the stable stores of every
     [clients] guardian (the workload drivers, via {!Linearize.record})
-    admit a linearization; fails with the checker's deterministic reason
-    otherwise, or when no operation at all was recorded (a run too faulted
-    to exercise the register would otherwise vacuously pass). *)
+    admit a linearization within {!Linearize.check}'s default search
+    budget; fails with the checker's deterministic reason otherwise, or
+    when no operation at all was recorded (a run too faulted to exercise
+    the register would otherwise vacuously pass). *)
 
 val table_convergence : def_name:string -> t
 (** Every live member of an SCD object group ([def_name] is

@@ -189,8 +189,7 @@ let run_airline (params : Scenario.params) =
         (if Option.is_none profile.Profile.disk then None else Some checkpoint_every);
       clerk =
         {
-          Workload.default_config with
-          transactions = 0;
+          Workload.transactions = 0;
           requests_per_transaction = 4;
           think_time = Clock.ms 5;
           dates = 4;
@@ -585,7 +584,7 @@ let scd_outcome ~params ~world ~object_def ~client_def ~counts ~issued =
     else
       verdict_of
         [
-          Oracle.linearizable ~clients:client_def ();
+          Oracle.linearizable ~clients:client_def;
           Oracle.table_convergence ~def_name:object_def;
           Oracle.stable_durability;
         ]

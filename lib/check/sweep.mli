@@ -26,7 +26,6 @@ val run :
   ?workload:int ->
   ?shards:int ->
   ?parallel:bool ->
-  ?progress:(done_:int -> total:int -> unit) ->
   Scenario.t ->
   profiles:Profile.t list ->
   seed_base:int ->

@@ -30,7 +30,6 @@ let default_config =
   }
 
 (* World constants nobody has needed to vary. *)
-let mtu = 1024
 let local_delay = Clock.us 5  (* intra-node message latency *)
 let default_port_capacity = 64
 let epoch = Clock.ms 1  (* cross-shard exchange window (barrier spacing) *)
@@ -451,7 +450,7 @@ let create_world ~seed ~topology ?(config = default_config) ?(shards = 1) ?(para
     let sys_rng = Rng.split root in
     let workload_rng = Rng.split root in
     let sengine = Engine.create () in
-    let snetwork = Network.create ~engine:sengine ~rng:net_rng ~topology ~mtu () in
+    let snetwork = Network.create ~engine:sengine ~rng:net_rng ~topology in
     let smetrics = Metrics.registry () in
     {
       shard_id = sid;

@@ -41,12 +41,6 @@ let signal c =
   | None -> ()
   | Some wake -> ignore (Engine.schedule_after c.cengine ~delay:0 wake)
 
-let broadcast c =
-  let pending = Queue.length c.cond_waiters in
-  for _ = 1 to pending do
-    signal c
-  done
-
 type semaphore = {
   sengine : Engine.t;
   total : int;

@@ -34,8 +34,6 @@ val wait : condition -> mutex -> unit
 val signal : condition -> unit
 (** Wake one waiter (no-op if none). *)
 
-val broadcast : condition -> unit
-
 (** {1 Counting semaphores}
 
     Model of a pool of identical resources — a node's processors, say

@@ -8,6 +8,11 @@
    them, and unbaselined ones surface as warnings. *)
 let warning_rules = [ "proto-unreachable-handler" ]
 
+(* An API no caller uses, or an option no caller passes, is deleted, never
+   grandfathered: a baseline entry for one matches nothing and so fails
+   the build as stale. *)
+let never_baselined = [ "unused-export"; "unused-optional" ]
+
 (* Never linted: a value reference here only keeps an export alive. *)
 let reference_dirs = [ "bench"; "test"; "perfbench" ]
 
@@ -56,7 +61,7 @@ let analyze ~root ~units:pairs ~baseline =
   let exports = List.concat_map (fun (path, source) -> Proto_extract.exports ~path ~source) mlis in
   let unused, test_only =
     List.partition
-      (fun f -> String.equal f.Finding.rule "unused-export")
+      (fun f -> List.mem f.Finding.rule never_baselined)
       (Proto_summary.unused_exports exports everything)
   in
   let env = Proto_summary.build units in
@@ -76,8 +81,6 @@ let analyze ~root ~units:pairs ~baseline =
     @ List.concat_map (Proto_reply.check env ~obligated) units
     @ test_only
   in
-  (* An unused export is deleted, never grandfathered: a baseline entry
-     for one matches nothing and so fails the build as stale. *)
   Baseline.apply baseline baselinable;
   let findings = List.sort Finding.order (baselinable @ unused) in
   let stale_baseline = Baseline.stale baseline in

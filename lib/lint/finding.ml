@@ -62,6 +62,7 @@ let rules =
     ("proto-unreachable-handler", Protocol);
     ("proto-reply-obligation", Protocol);
     ("unused-export", Hygiene);
+    ("unused-optional", Hygiene);
     ("test-only-export", Hygiene);
   ]
 
@@ -149,6 +150,16 @@ let explanations =
        perfbench/, which are never linted.  An API with no caller is \
        deleted, never baselined: a false positive is fixed in the \
        resolver." );
+    ( "unused-optional",
+      "An optional ?l: parameter of a val in a lib/ interface that no \
+       application outside the defining .ml passes, as ~l or ?l, to that \
+       value (M.v resolved, and read from the same directories, tests \
+       included, as for unused-export).  Every caller gets the default, so \
+       the option is one value dressed up as a choice: make it a constant \
+       in the module and drop the parameter.  Like unused-export it is \
+       never baselined.  An option passed only through a wrapper function \
+       or a first-class use of the value is not seen: pass it at a direct \
+       application, or drop it." );
     ( "test-only-export",
       "A val in a lib/ interface that only units under test/ name (uses \
        resolved as for unused-export).  Give it a real caller, stop \

@@ -197,12 +197,13 @@ let match_positions ?(reply_vars = SSet.empty) scrut =
 let module_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-(* ---- value references and exports (the unused-export rule) ---- *)
+(* ---- value references and exports (unused-export, unused-optional) ---- *)
 
 (* Every value reference of a structure as ["M.v"], with [M] reduced to
    its last module component (after local module aliases) the way sends
    are resolved; a bare [v] under [open M] / [M.( ... )] counts as
-   ["M.v"] for every module open at that point. *)
+   ["M.v"] for every module open at that point.  An application of [M.v]
+   also adds ["M.v?l"] for each argument it passes as [~l] or [?l]. *)
 let uses str =
   let acc = ref [] in
   let opens = ref [] in
@@ -212,7 +213,12 @@ let uses str =
     | [ m ] -> Option.value (Hashtbl.find_opt aliases m) ~default:m
     | comps -> snd (last2 comps)
   in
-  let add m name = acc := (m ^ "." ^ name) :: !acc in
+  let keys = function
+    | Longident.Ldot (m, name) -> [ target m ^ "." ^ name ]
+    | Longident.Lident name -> List.map (fun m -> m ^ "." ^ name) !opens
+    | Longident.Lapply _ -> []
+  in
+  let add key = acc := key :: !acc in
   let alias name me =
     match (name, me.pmod_desc) with
     | Some x, Pmod_ident lid -> Hashtbl.replace aliases x (target lid.txt)
@@ -226,8 +232,15 @@ let uses str =
   in
   let expr self e =
     match e.pexp_desc with
-    | Pexp_ident { txt = Longident.Ldot (m, name); _ } -> add (target m) name
-    | Pexp_ident { txt = Longident.Lident name; _ } -> List.iter (fun m -> add m name) !opens
+    | Pexp_ident { txt; _ } -> List.iter add (keys txt)
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+        List.iter
+          (fun (label, _) ->
+            match label with
+            | Asttypes.Labelled l | Optional l -> List.iter (fun k -> add (k ^ "?" ^ l)) (keys txt)
+            | Nolabel -> ())
+          args;
+        super.expr self e
     | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, body) ->
         scoped (fun () ->
             opens := target lid.txt :: !opens;
@@ -259,7 +272,14 @@ type export = {
   ex_qual : string list;  (** e.g. [["Register"; "Table"]] *)
   ex_name : string;
   ex_line : int;
+  ex_optional : string list;  (** labels of the optional parameters *)
 }
+
+let rec optional_labels t =
+  match t.ptyp_desc with
+  | Ptyp_arrow (Optional l, _, rest) -> l :: optional_labels rest
+  | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> optional_labels rest
+  | _ -> []
 
 let exports ~path ~source =
   let rec items qual sg =
@@ -267,8 +287,15 @@ let exports ~path ~source =
       (fun item ->
         match item.psig_desc with
         | Psig_value vd ->
-            let line = line_of item.psig_loc in
-            [ { ex_path = path; ex_qual = qual; ex_name = vd.pval_name.txt; ex_line = line } ]
+            [
+              {
+                ex_path = path;
+                ex_qual = qual;
+                ex_name = vd.pval_name.txt;
+                ex_line = line_of item.psig_loc;
+                ex_optional = optional_labels vd.pval_type;
+              };
+            ]
         | Psig_module
             { pmd_name = { txt = Some m; _ }; pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ }
           ->

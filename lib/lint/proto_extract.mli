@@ -78,6 +78,7 @@ type export = {
   ex_qual : string list;  (** e.g. [["Register"; "Table"]] *)
   ex_name : string;
   ex_line : int;
+  ex_optional : string list;  (** labels of the optional parameters *)
 }
 
 val exports : path:string -> source:string -> export list
@@ -98,7 +99,9 @@ type unit_info = {
   u_uses : string list;
       (** value references as ["M.v"], [M] reduced to its last module
           component (after local aliases); a bare [v] under an open [M]
-          counts as ["M.v"].  For [unused-export]. *)
+          counts as ["M.v"].  An application of [M.v] also gives
+          ["M.v?l"] per argument passed as [~l] or [?l].  For
+          [unused-export] and [unused-optional]. *)
 }
 
 val load : path:string -> source:string -> unit_info

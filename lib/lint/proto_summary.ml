@@ -633,7 +633,8 @@ let collect_sends env u =
 (* An export is used when a unit other than its own implementation names
    it.  One that no other unit names is an [unused-export]; one that only
    units under test/ name is a [test-only-export], which the driver lets
-   the proto baseline grandfather. *)
+   the proto baseline grandfather.  A used export's optional parameter that
+   no other unit's application passes is an [unused-optional]. *)
 let unused_exports exports units =
   let callers =
     List.fold_left
@@ -645,30 +646,45 @@ let unused_exports exports units =
       SMap.empty units
   in
   let is_test path = String.length path > 5 && String.equal (String.sub path 0 5) "test/" in
-  List.filter_map
+  List.concat_map
     (fun e ->
       let own = Filename.remove_extension e.ex_path ^ ".ml" in
       let qual = String.concat "." e.ex_qual in
       let key = snd (last2 e.ex_qual) ^ "." ^ e.ex_name in
-      let finding rule message =
-        Some
-          (Finding.v ~rule ~file:e.ex_path ~line:e.ex_line ~col:0 ~context:qual ~token:e.ex_name
-             message)
-      in
-      match
+      let others key =
         List.filter
           (fun p -> not (String.equal p own))
           (Option.value (SMap.find_opt key callers) ~default:[])
-      with
+      in
+      let finding ~context ~token rule message =
+        Finding.v ~rule ~file:e.ex_path ~line:e.ex_line ~col:0 ~context ~token message
+      in
+      let export_finding = finding ~context:qual ~token:e.ex_name in
+      let unused_optionals () =
+        List.filter_map
+          (fun l ->
+            if others (key ^ "?" ^ l) <> [] then None
+            else
+              Some
+                (finding ~context:(qual ^ "." ^ e.ex_name) ~token:("?" ^ l) "unused-optional"
+                   (Printf.sprintf
+                      "no caller outside %s passes %s.%s's ?%s; make it a constant there" own qual
+                      e.ex_name l)))
+          e.ex_optional
+      in
+      match others key with
       | [] ->
-          finding "unused-export"
-            (Printf.sprintf "%s.%s is exported but nothing outside %s names it; delete it" qual
-               e.ex_name own)
+          [
+            export_finding "unused-export"
+              (Printf.sprintf "%s.%s is exported but nothing outside %s names it; delete it" qual
+                 e.ex_name own);
+          ]
       | paths when List.for_all is_test paths ->
-          finding "test-only-export"
+          export_finding "test-only-export"
             (Printf.sprintf
                "%s.%s is exported but only test/ names it; give it a caller, stop exporting it, \
                 or baseline it under a reason"
                qual e.ex_name)
-      | _ -> None)
+          :: unused_optionals ()
+      | _ -> unused_optionals ())
     exports

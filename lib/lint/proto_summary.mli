@@ -53,6 +53,7 @@ val collect_sends : env -> unit_info -> send list * Finding.t list
 (** All sends of a unit plus its [mutable-payload] findings. *)
 
 val unused_exports : export list -> unit_info list -> Finding.t list
-(** [unused-export] findings for exports no other unit names and
+(** [unused-export] findings for exports no other unit names,
     [test-only-export] findings for exports only units under [test/]
-    name. *)
+    name, and [unused-optional] findings for the optional parameters of the
+    other exports that no other unit's application passes. *)

@@ -27,19 +27,10 @@ type stats = {
   bytes_sent : int;
 }
 
-val create :
-  engine:Dcp_sim.Engine.t ->
-  rng:Dcp_rng.Rng.t ->
-  topology:Topology.t ->
-  ?mtu:int ->
-  ?queueing:bool ->
-  unit ->
-  t
-(** Default MTU is 1024 payload bytes per fragment.  With [queueing:true]
-    (default false), bandwidth-limited links serve fragments FIFO: two
-    simultaneous transfers on one link share its capacity instead of each
-    seeing the full bandwidth — transmission delays then include queueing
-    behind earlier fragments. *)
+val create : engine:Dcp_sim.Engine.t -> rng:Dcp_rng.Rng.t -> topology:Topology.t -> t
+(** The MTU is a system-wide constant: 1024 payload bytes per fragment.
+    Each fragment is charged its link's serialization time independently,
+    so simultaneous transfers on one link do not queue behind each other. *)
 
 val topology : t -> Topology.t
 

@@ -27,12 +27,3 @@ let clusters ~sizes ~local ~long_haul =
     if c1 = c2 then local else gateway_path
   in
   { node_list = List.map fst tagged; pick }
-
-let star ~n ~hub ~spoke =
-  if n <= 0 then invalid_arg "Topology.star: n must be positive";
-  if hub < 0 || hub >= n then invalid_arg "Topology.star: hub out of range";
-  let two_hop = Link.compose spoke spoke in
-  let pick ~src ~dst = if src = hub || dst = hub then spoke else two_hop in
-  { node_list = List.init n Fun.id; pick }
-
-let custom ~nodes pick = { node_list = nodes; pick }

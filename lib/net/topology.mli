@@ -24,10 +24,3 @@ val full_mesh : n:int -> Link.t -> t
 val clusters : sizes:int list -> local:Link.t -> long_haul:Link.t -> t
 (** LAN clusters joined by gateways: nodes in the same cluster use [local];
     nodes in different clusters traverse [local → long_haul → local]. *)
-
-val star : n:int -> hub:node_id -> spoke:Link.t -> t
-(** Every non-hub pair communicates through the hub ([spoke] composed with
-    itself); hub↔spoke pairs use [spoke] directly. *)
-
-val custom : nodes:node_id list -> (src:node_id -> dst:node_id -> Link.t) -> t
-(** Arbitrary link function over an explicit node set. *)

@@ -263,10 +263,9 @@ module Member = struct
       init =
         (fun ctx args ->
           match args with
-          | Value.Int status_every :: Value.Int resend_max :: rest
-            when status_every > 0 && resend_max > 0 ->
+          | Value.Int status_every :: rest when status_every > 0 ->
               let dispatch = init ctx rest in
-              let config = { Scd.status_every; resend_max } in
+              let config = { Scd.status_every } in
               Scd.persist_group_config ctx config;
               await_members ctx ~config ~dispatch
           | _ -> invalid_arg (def_name ^ ": bad creation arguments"));
@@ -330,10 +329,10 @@ let def =
         ~stale_reads:
           (match Store.get store ~key:mode_key with Some "stale" -> true | Some _ | None -> false))
 
-let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32)
-    ?(stale_reads = false) ~introduce_at () =
+let create_group world ~nodes ?(status_every = Clock.ms 100) ?(stale_reads = false) ~introduce_at
+    () =
   Member.create_group world def ~nodes ~introduce_at
-    ~args:[ Value.int status_every; Value.int resend_max; Value.bool stale_reads ]
+    ~args:[ Value.int status_every; Value.bool stale_reads ]
 
 let write ctx ~register ~key ~value ~timeout =
   match

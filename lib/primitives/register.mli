@@ -92,7 +92,7 @@ module Member : sig
     init:(Runtime.ctx -> Value.t list -> dispatch) ->
     in_store:(Dcp_stable.Store.t -> dispatch) ->
     Runtime.def
-  (** Creation args are [status_every; resend_max] followed by the
+  (** Creation args are [status_every] followed by the
       object's own, which [init] parses (persisting whatever [in_store]
       reads back at recovery) or rejects with [Invalid_argument]. *)
 
@@ -111,7 +111,6 @@ val create_group :
   Runtime.world ->
   nodes:Runtime.node_id list ->
   ?status_every:Clock.time ->
-  ?resend_max:int ->
   ?stale_reads:bool ->
   introduce_at:Runtime.node_id ->
   unit ->

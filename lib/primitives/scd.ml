@@ -6,9 +6,12 @@ module Metrics = Dcp_sim.Metrics
 module Clock = Dcp_sim.Clock
 module Rng = Dcp_rng.Rng
 
-type config = { status_every : Clock.time; resend_max : int }
+type config = { status_every : Clock.time }
 
-let default_config = { status_every = Clock.ms 100; resend_max = 32 }
+let default_config = { status_every = Clock.ms 100 }
+
+(* Most own messages resent in answer to one received status. *)
+let resend_max = 32
 
 type msg_id = { origin : int; seq : int }
 type ts = int * int
@@ -124,8 +127,7 @@ let persist_members ctx members =
     (Codec.encode_exn (Value.list (List.map Value.port (Array.to_list members))))
 
 let persist_config ctx (c : config) =
-  Store.set (Runtime.store ctx) ~key:config_key
-    (Printf.sprintf "%d %d" c.status_every c.resend_max)
+  Store.set (Runtime.store ctx) ~key:config_key (string_of_int c.status_every)
 
 let persist_group_config = persist_config
 
@@ -133,13 +135,9 @@ let config_in_store store =
   match Store.get store ~key:config_key with
   | None -> default_config
   | Some data -> (
-      match String.split_on_char ' ' data with
-      | [ se; rm ] -> (
-          match (int_of_string_opt se, int_of_string_opt rm) with
-          | Some status_every, Some resend_max when status_every > 0 && resend_max > 0 ->
-              { status_every; resend_max }
-          | _ -> default_config)
-      | _ -> default_config)
+      match int_of_string_opt data with
+      | Some status_every when status_every > 0 -> { status_every }
+      | Some _ | None -> default_config)
 
 (* An own-log record is "<clock> <payload bytes>"; the payload's encoding
    may contain any byte, so only the first space separates. *)
@@ -328,7 +326,7 @@ let receive_status ctx t ~from ~clock acks dacks =
          above its contiguous ack, so resend a bounded batch. *)
       let missing_from = acks.(t.self) in
       if missing_from < t.seq then begin
-        let upto = Int.min t.seq (missing_from + t.config.resend_max) in
+        let upto = Int.min t.seq (missing_from + resend_max) in
         for s = missing_from + 1 to upto do
           match Hashtbl.find_opt t.own_log s with
           | Some (c, payload) ->
@@ -396,7 +394,6 @@ let self_index ctx members =
 
 let create ctx ?(config = default_config) ~members () =
   if config.status_every <= 0 then invalid_arg "Scd.create: status_every must be positive";
-  if config.resend_max <= 0 then invalid_arg "Scd.create: resend_max must be positive";
   if members = [] then invalid_arg "Scd.create: empty member list";
   let members = Array.of_list (List.sort_uniq Port_name.compare members) in
   let self = self_index ctx members in

@@ -39,10 +39,8 @@ open Dcp_wire
 module Runtime = Dcp_core.Runtime
 module Clock = Dcp_sim.Clock
 
-type config = {
-  status_every : Clock.time;  (** status gossip period *)
-  resend_max : int;  (** max own messages resent per received status *)
-}
+type config = { status_every : Clock.time  (** status gossip period *) }
+(** A member resends at most 32 of its own messages per received status. *)
 
 type msg_id = { origin : int; seq : int }
 (** Identity of a broadcast: the member index that minted it and its
@@ -108,8 +106,8 @@ val persist_group_config : Runtime.ctx -> config -> unit
     crashes pre-join comes back with the configured cadence. *)
 
 val config_in_store : Dcp_stable.Store.t -> config
-(** The persisted config, or the default (status every 100 ms, 32 resends)
-    when absent/garbled. *)
+(** The persisted config, or the default (status every 100 ms) when
+    absent/garbled. *)
 
 val parse_members : Value.t list -> Port_name.t list option
 (** Strict parse of the ["members"] request's port-list argument. *)

@@ -39,10 +39,8 @@ let def =
     ~init:(fun _ -> function [] -> dispatch | _ -> invalid_arg "snapshot: bad creation arguments")
     ~in_store:(fun _ -> dispatch)
 
-let create_group world ~nodes ?(status_every = Clock.ms 100) ?(resend_max = 32) ~introduce_at
-    () =
-  Member.create_group world def ~nodes ~introduce_at
-    ~args:[ Value.int status_every; Value.int resend_max ]
+let create_group world ~nodes ?(status_every = Clock.ms 100) ~introduce_at () =
+  Member.create_group world def ~nodes ~introduce_at ~args:[ Value.int status_every ]
 
 let update ctx ~snapshot ~key ~value ~timeout =
   match

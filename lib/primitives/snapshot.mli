@@ -28,7 +28,6 @@ val create_group :
   Runtime.world ->
   nodes:Runtime.node_id list ->
   ?status_every:Clock.time ->
-  ?resend_max:int ->
   introduce_at:Runtime.node_id ->
   unit ->
   Port_name.t list

@@ -148,8 +148,12 @@ let announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout ~rounds 
   in
   go rounds ports
 
-let coordinate ctx ~txid ~participants ?(prepare_timeout = Clock.s 1) ?(ack_timeout = Clock.ms 500)
-    () =
+(* How long phase 1 waits for votes, and each announcement round for acks
+   (in [coordinate] and in [redeliver_decisions] alike). *)
+let prepare_timeout = Clock.s 1
+let ack_timeout = Clock.ms 500
+
+let coordinate ctx ~txid ~participants =
   let store = Runtime.store ctx in
   let reply_port = Runtime.new_port ctx ~capacity:256 [ Vtype.wildcard ] in
   let ports = List.map fst participants in
@@ -218,8 +222,7 @@ let redeliver_decisions ctx =
     (fun (txid, decision, ports) ->
       let command = match decision with Committed -> "commit" | Aborted _ -> "abort" in
       let all_acked =
-        announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout:(Clock.ms 500)
-          ~rounds:5
+        announce_until_acked ctx ~reply_port ~txid ~command ~ports ~timeout:ack_timeout ~rounds:5
       in
       if all_acked then
         Store.set store ~key:(decision_key txid) (encode_decision ~decision ~ports ~acked:true))

@@ -27,7 +27,6 @@
     to make multi-leg bookings atomic (see {!Dcp_airline.Itinerary}). *)
 
 open Dcp_wire
-module Clock = Dcp_sim.Clock
 
 (** {1 Participant side} *)
 
@@ -61,14 +60,12 @@ val coordinate :
   Dcp_core.Runtime.ctx ->
   txid:int ->
   participants:(Port_name.t * Value.t) list ->
-  ?prepare_timeout:Clock.time ->
-  ?ack_timeout:Clock.time ->
-  unit ->
   decision
 (** Run one two-phase commit among [participants], each receiving its own
-    payload in phase 1.  Blocks the calling process until the outcome is
-    decided *and* the decision has been logged; announcement acks are
-    awaited for [ack_timeout] but the decision stands regardless.  The
+    payload in phase 1.  Votes are awaited for 1 s; a missing vote aborts.
+    Blocks the calling process until the outcome is decided *and* the
+    decision has been logged; announcement acks are awaited for up to three
+    500 ms rounds but the decision stands regardless.  The
     decision is recorded in this guardian's stable store under
     ["2pc:<txid>"] before it is announced, so a recovery process can finish
     announcing after a crash (see {!redeliver_decisions}). *)

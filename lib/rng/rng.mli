@@ -36,20 +36,6 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (rate 1/mean). *)
 
-val geometric : t -> p:float -> int
-(** Number of Bernoulli(p) failures before the first success; >= 0. *)
-
-val normal : t -> mean:float -> stddev:float -> float
-(** Gaussian via Box–Muller. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [\[0, n)] with exponent [s] (inverse-CDF over a
-    precomputed table would be faster; this uses rejection-free linear CDF
-    and is fine for the modest [n] used in workloads). *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed heavy-tailed value >= [scale]. *)
-
 (** {1 Collections} *)
 
 val choice : t -> 'a array -> 'a

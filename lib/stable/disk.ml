@@ -13,9 +13,6 @@ let none = { stall_p = 0.; stall_ms = 0; tear_p = 0.; drop_p = 0.; rot_p = 0.; s
 let flaky = { stall_p = 0.05; stall_ms = 5; tear_p = 0.5; drop_p = 0.25; rot_p = 0.3; sector_p = 0. }
 let hostile = { flaky with sector_p = 1. }
 
-let is_none s =
-  s.stall_p = 0. && s.tear_p = 0. && s.drop_p = 0. && s.rot_p = 0.
-
 let pp ppf s =
   Format.fprintf ppf "stall=%.2f/%dms tear=%.2f drop=%.2f rot=%.2f sector=%.2f" s.stall_p
     s.stall_ms s.tear_p s.drop_p s.rot_p s.sector_p

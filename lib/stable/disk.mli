@@ -48,8 +48,6 @@ val hostile : spec
     copies and recovery must quarantine.  For targeted regression seeds,
     not sweeps. *)
 
-val is_none : spec -> bool
-
 val pp : Format.formatter -> spec -> unit
 (** One-line rendering for profile listings, e.g.
     [stall=0.05/5ms tear=0.50 drop=0.25 rot=0.30 sector=0.00]. *)

@@ -244,8 +244,8 @@ let decode ?(config = default_config) s =
     | v -> if r.pos <> String.length s then Error (Malformed "trailing bytes") else Ok v
     | exception Codec_error e -> Error e
 
-let encode_exn ?config v =
-  match encode ?config v with Ok s -> s | Error e -> raise (Codec_error e)
+let encode_exn v =
+  match encode v with Ok s -> s | Error e -> raise (Codec_error e)
 
-let decode_exn ?config s =
-  match decode ?config s with Ok v -> v | Error e -> raise (Codec_error e)
+let decode_exn s =
+  match decode s with Ok v -> v | Error e -> raise (Codec_error e)

@@ -56,8 +56,8 @@ val encode_with : encoder -> Value.t -> (string, error) result
     the returned string is built in [encoder]'s scratch buffer, which the
     next [encode_with] on the same handle reuses. *)
 
-val encode_exn : ?config:config -> Value.t -> string
-(** @raise Codec_error *)
+val encode_exn : Value.t -> string
+(** {!encode} under {!default_config}.  @raise Codec_error *)
 
-val decode_exn : ?config:config -> string -> Value.t
-(** @raise Codec_error *)
+val decode_exn : string -> Value.t
+(** {!decode} under {!default_config}.  @raise Codec_error *)

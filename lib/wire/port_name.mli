@@ -11,6 +11,5 @@ type t = { node : int; guardian : int; index : int; uid : int }
 val make : node:int -> guardian:int -> index:int -> uid:int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

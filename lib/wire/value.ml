@@ -53,25 +53,6 @@ and pp_comma fmt () = Format.pp_print_string fmt ", "
 
 let to_string v = Format.asprintf "%a" pp v
 
-let rec size = function
-  | Unit | Bool _ -> 1
-  | Int _ | Real _ -> 8
-  | Str s -> 4 + String.length s
-  | Listv l | Tuple l -> List.fold_left (fun acc v -> acc + size v) 4 l
-  | Record fields ->
-      List.fold_left (fun acc (name, v) -> acc + String.length name + size v) 4 fields
-  | Option None -> 1
-  | Option (Some v) -> 1 + size v
-  | Portv _ -> 16
-  | Tokenv _ -> 20
-  | Named (name, v) -> String.length name + size v
-
-let rec depth = function
-  | Unit | Bool _ | Int _ | Real _ | Str _ | Portv _ | Tokenv _ | Option None -> 1
-  | Listv l | Tuple l -> 1 + List.fold_left (fun acc v -> Int.max acc (depth v)) 0 l
-  | Record fields -> 1 + List.fold_left (fun acc (_, v) -> Int.max acc (depth v)) 0 fields
-  | Option (Some v) | Named (_, v) -> 1 + depth v
-
 let unit = Unit
 let bool b = Bool b
 let int i = Int i

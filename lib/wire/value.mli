@@ -26,11 +26,6 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val size : t -> int
-(** Approximate in-memory footprint in bytes. *)
-
-val depth : t -> int
-
 (** {1 Convenience constructors and accessors} *)
 
 val unit : t

@@ -129,18 +129,3 @@ let check_message pt ~command args =
     else
       Error
         (Format.asprintf "arguments do not match any %S signature of the port" command)
-
-let pp_signature fmt s =
-  let pp_args = Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") pp in
-  Format.fprintf fmt "%s(%a)" s.command pp_args s.args;
-  if s.replies <> [] then begin
-    let pp_reply fmt r = Format.fprintf fmt "%s(%a)" r.reply_command pp_args r.reply_args in
-    Format.fprintf fmt " replies (%a)"
-      (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") pp_reply)
-      s.replies
-  end
-
-let pp_port_type fmt pt =
-  Format.fprintf fmt "port [@[<v>%a@]]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_signature)
-    pt

@@ -59,6 +59,3 @@ val wildcard : signature
 val check_message : port_type -> command:string -> Value.t list -> (unit, string) result
 (** Check a (command, args) pair against a port type: the command must be
     declared and every argument must match. *)
-
-val pp_signature : Format.formatter -> signature -> unit
-val pp_port_type : Format.formatter -> port_type -> unit

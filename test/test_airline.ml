@@ -428,7 +428,6 @@ let test_cluster_runs_and_reserves () =
           transactions = 2;
           requests_per_transaction = 4;
           think_time = Clock.ms 1;
-          flights = 4;
           dates = 5;
         };
     }

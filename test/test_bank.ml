@@ -130,10 +130,10 @@ let test_transfer_moves_money () =
       outcome :=
         transfer ctx coordinator ~from_branch:0 ~from_account:"a0" ~to_branch:1
           ~to_account:"b0" ~amount:250;
-      (match Audit.balance_of ctx ~branch:b0 ~account:"a0" () with
+      (match Audit.balance_of ctx ~branch:b0 ~account:"a0" with
       | Ok b -> bal_from := b
       | Error _ -> ());
-      match Audit.balance_of ctx ~branch:b1 ~account:"b0" () with
+      match Audit.balance_of ctx ~branch:b1 ~account:"b0" with
       | Ok b -> bal_to := b
       | Error _ -> ());
   Runtime.run_for world (Clock.s 5);
@@ -160,7 +160,7 @@ let test_transfer_refund_on_missing_dest () =
       outcome :=
         transfer ctx coordinator ~from_branch:0 ~from_account:"a0" ~to_branch:1
           ~to_account:"ghost" ~amount:100;
-      match Audit.balance_of ctx ~branch:b0 ~account:"a0" () with
+      match Audit.balance_of ctx ~branch:b0 ~account:"a0" with
       | Ok b -> bal := b
       | Error _ -> ());
   Runtime.run_for world (Clock.s 5);
@@ -169,7 +169,7 @@ let test_transfer_refund_on_missing_dest () =
 
 let total_money world ~branches =
   let result = ref (Error "never ran") in
-  driver world ~at:2 (fun ctx -> result := Audit.total_balance ctx ~branches ());
+  driver world ~at:2 (fun ctx -> result := Audit.total_balance ctx ~branches);
   Runtime.run_for world (Clock.s 2);
   !result
 

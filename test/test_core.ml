@@ -271,26 +271,6 @@ let test_condition_signal () =
   Engine.run e;
   Alcotest.(check bool) "waiter saw the change" true !observed
 
-let test_condition_broadcast () =
-  let e = Engine.create () in
-  let m = Sync.mutex e in
-  let c = Sync.condition e in
-  let released = ref 0 in
-  for i = 1 to 3 do
-    ignore
-      (Process.spawn e ~name:("w" ^ string_of_int i) (fun () ->
-           Sync.lock m;
-           Sync.wait c m;
-           incr released;
-           Sync.unlock m))
-  done;
-  ignore
-    (Process.spawn e ~name:"b" (fun () ->
-         Process.sleep e (Clock.ms 1);
-         Sync.broadcast c));
-  Engine.run e;
-  Alcotest.(check int) "all released" 3 !released
-
 let test_keyed_lock_parallel_keys () =
   let e = Engine.create () in
   let kl = Sync.keyed_lock e in
@@ -351,7 +331,6 @@ let tests =
     Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
     Alcotest.test_case "mutex unlock unheld" `Quick test_mutex_unlock_unheld;
     Alcotest.test_case "condition signal" `Quick test_condition_signal;
-    Alcotest.test_case "condition broadcast" `Quick test_condition_broadcast;
     Alcotest.test_case "keyed lock parallel keys" `Quick test_keyed_lock_parallel_keys;
     Alcotest.test_case "keyed lock same key" `Quick test_keyed_lock_serializes_same_key;
     Alcotest.test_case "keyed lock end unheld" `Quick test_keyed_lock_end_unheld;

@@ -16,8 +16,6 @@ let dump store =
 
 let test_disk_none_draws_nothing () =
   let d = Disk.create Disk.none (Rng.create ~seed:1) in
-  Alcotest.(check bool) "is_none" true (Disk.is_none Disk.none);
-  Alcotest.(check bool) "flaky is not none" false (Disk.is_none Disk.flaky);
   for _ = 1 to 100 do
     Alcotest.(check (option int)) "no stall" None (Disk.draw_stall d);
     Alcotest.(check bool) "no drop" false (Disk.draw_drop d);

@@ -3,7 +3,7 @@
 
 open Dcp_wire
 module Metrics = Dcp_sim.Metrics
-module Clock = Dcp_sim.Clock
+module Network = Dcp_net.Network
 module Topology = Dcp_net.Topology
 module Link = Dcp_net.Link
 
@@ -25,25 +25,12 @@ let test_metrics_report_renders () =
       if not found then Alcotest.failf "report missing %S in %s" needle rendered)
     [ "events"; "depth"; "lat"; "p95" ]
 
-let test_topology_custom () =
-  let slow = { Link.perfect with base_latency = Clock.ms 9 } in
-  let t =
-    Topology.custom ~nodes:[ 10; 20 ] (fun ~src ~dst ->
-        if src < dst then Link.perfect else slow)
-  in
-  Alcotest.(check bool) "asymmetric links allowed" true
-    (Topology.link t ~src:10 ~dst:20 <> Topology.link t ~src:20 ~dst:10);
-  Alcotest.(check bool) "membership" true (Topology.link t ~src:20 ~dst:20 = Link.perfect);
-  Alcotest.check_raises "non-member" (Invalid_argument "Topology.link: unknown destination node")
-    (fun () -> ignore (Topology.link t ~src:10 ~dst:30))
-
 let test_port_name_rendering_and_order () =
   let a = Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:4 in
   let b = Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:5 in
   Alcotest.(check string) "to_string" "port<n1.g2.p3#4>" (Port_name.to_string a);
   Alcotest.(check bool) "compare orders by uid last" true (Port_name.compare a b < 0);
-  Alcotest.(check bool) "equal self" true (Port_name.equal a a);
-  Alcotest.(check bool) "hash stable" true (Port_name.hash a = Port_name.hash a)
+  Alcotest.(check bool) "equal self" true (Port_name.equal a a)
 
 let test_vtype_overloaded_command () =
   let pt =
@@ -56,13 +43,32 @@ let test_vtype_overloaded_command () =
   Alcotest.(check bool) "binary form rejected" true
     (Result.is_error (Vtype.check_message pt ~command:"ping" [ Value.int 7; Value.int 8 ]))
 
-let test_vtype_port_type_rendering () =
-  let pt =
-    [ Vtype.signature "reserve" [ Vtype.Tint ] ~replies:[ Vtype.reply "ok" [] ] ]
+let test_network_mtu_constant () =
+  (* The MTU is system-wide: 1024 payload bytes per fragment. *)
+  let fragments_for len =
+    let net =
+      Network.create ~engine:(Dcp_sim.Engine.create ()) ~rng:(Dcp_rng.Rng.create ~seed:1)
+        ~topology:(Topology.full_mesh ~n:2 Link.perfect)
+    in
+    Network.send net ~src:0 ~dst:1 (String.make len 'x');
+    (Network.stats net).Network.fragments_sent
   in
-  Alcotest.(check string) "pp_port_type"
-    "port [reserve(int) replies (ok())]"
-    (Format.asprintf "%a" Vtype.pp_port_type pt)
+  Alcotest.(check int) "1024 bytes fit one fragment" 1 (fragments_for 1024);
+  Alcotest.(check int) "1025 bytes need two" 2 (fragments_for 1025)
+
+let test_codec_exn_forms_default_config () =
+  (* The raising forms always use the default config, which takes what the
+     1979 config refuses. *)
+  let long = Value.str (String.make 5000 'x') in
+  Alcotest.(check bool) "1979 config refuses a 5000-byte string" true
+    (Result.is_error (Codec.encode ~config:Codec.config_1979 long));
+  Alcotest.(check bool) "encode_exn/decode_exn round-trip it" true
+    (Value.equal long (Codec.decode_exn (Codec.encode_exn long)));
+  Alcotest.(check bool) "max_int round-trips" true
+    (Value.equal (Value.int max_int) (Codec.decode_exn (Codec.encode_exn (Value.int max_int))));
+  match Codec.decode_exn "\255" with
+  | _ -> Alcotest.fail "decode_exn accepted junk"
+  | exception Codec.Codec_error _ -> ()
 
 let test_codec_1979_config_shape () =
   let fits config i = Result.is_ok (Codec.encode ~config (Value.int i)) in
@@ -84,10 +90,11 @@ let test_value_token_port_accessors () =
 let tests =
   [
     Alcotest.test_case "metrics report renders" `Quick test_metrics_report_renders;
-    Alcotest.test_case "topology custom" `Quick test_topology_custom;
     Alcotest.test_case "port name rendering/order" `Quick test_port_name_rendering_and_order;
     Alcotest.test_case "overloaded command" `Quick test_vtype_overloaded_command;
-    Alcotest.test_case "port type rendering" `Quick test_vtype_port_type_rendering;
     Alcotest.test_case "value port/token accessors" `Quick test_value_token_port_accessors;
+    Alcotest.test_case "network mtu constant" `Quick test_network_mtu_constant;
+    Alcotest.test_case "codec exn forms use the default config" `Quick
+      test_codec_exn_forms_default_config;
     Alcotest.test_case "1979 codec bounds" `Quick test_codec_1979_config_shape;
   ]

@@ -247,19 +247,12 @@ let test_topology_clusters () =
   Alcotest.(check bool) "inter slower than intra" true
     (inter.Link.base_latency > intra.Link.base_latency)
 
-let test_topology_star () =
-  let t = Topology.star ~n:5 ~hub:0 ~spoke:Link.lan in
-  let to_hub = Topology.link t ~src:3 ~dst:0 in
-  let through_hub = Topology.link t ~src:3 ~dst:4 in
-  Alcotest.(check bool) "two-hop slower" true
-    (through_hub.Link.base_latency > to_hub.Link.base_latency)
-
 (* ---- Network ---- *)
 
-let make_net ?(mtu = 1024) ?(link = Link.perfect) ~n () =
+let make_net ?(link = Link.perfect) ~n () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:5 in
-  let net = Network.create ~engine ~rng ~topology:(Topology.full_mesh ~n link) ~mtu () in
+  let net = Network.create ~engine ~rng ~topology:(Topology.full_mesh ~n link) in
   (engine, net)
 
 let test_network_delivery () =
@@ -271,8 +264,9 @@ let test_network_delivery () =
   Alcotest.(check (option (pair int string))) "delivered" (Some (0, "payload")) !got
 
 let test_network_large_message_fragments () =
-  let engine, net = make_net ~mtu:100 ~n:2 () in
-  let body = String.init 1000 (fun i -> Char.chr (i mod 256)) in
+  let engine, net = make_net ~n:2 () in
+  (* 10 KiB over the fixed 1024-byte MTU *)
+  let body = String.init 10_240 (fun i -> Char.chr (i mod 256)) in
   let got = ref None in
   Network.set_handler net 1 (fun ~src:_ b -> got := Some b);
   Network.send net ~src:0 ~dst:1 body;
@@ -352,6 +346,27 @@ let test_network_jitter_reorders () =
   let in_order = List.sort compare arrived = arrived in
   Alcotest.(check bool) "jitter reordered something" false in_order
 
+let test_network_serialization_delay () =
+  (* 10 KB/s and no latency: a fragment's delay is exactly its wire size
+     over the bandwidth.  1500 bytes go as a 1024-byte and a 476-byte
+     fragment, each charged on its own, so the message is whole when the
+     larger one lands.  Nothing queues: two messages sent at once on one
+     link, and one the other way, all land at that same instant. *)
+  let engine, net = make_net ~link:{ Link.perfect with bandwidth = Some 10_000 } ~n:2 () in
+  let arrivals = ref [] in
+  let record ~src:_ _ = arrivals := Engine.now engine :: !arrivals in
+  Network.set_handler net 0 record;
+  Network.set_handler net 1 record;
+  Network.send net ~src:0 ~dst:1 (String.make 1500 'x');
+  Network.send net ~src:0 ~dst:1 (String.make 1500 'y');
+  Network.send net ~src:1 ~dst:0 (String.make 1500 'z');
+  Engine.run engine;
+  Alcotest.(check int) "two fragments each" 6 (Network.stats net).Network.fragments_sent;
+  let larger = 1024 + Packet.header_overhead in
+  let at = Clock.of_float_s (float_of_int larger /. 10_000.) in
+  Alcotest.(check (list int)) "each arrives at the larger fragment's serialization time"
+    [ at; at; at ] !arrivals
+
 let tests =
   [
     Alcotest.test_case "CRC known vectors" `Quick test_crc_known_vectors;
@@ -375,7 +390,6 @@ let tests =
     Alcotest.test_case "full mesh" `Quick test_topology_full_mesh;
     Alcotest.test_case "unknown node" `Quick test_topology_unknown_node;
     Alcotest.test_case "clusters" `Quick test_topology_clusters;
-    Alcotest.test_case "star" `Quick test_topology_star;
     Alcotest.test_case "delivery" `Quick test_network_delivery;
     Alcotest.test_case "fragmentation" `Quick test_network_large_message_fragments;
     Alcotest.test_case "no handler discards" `Quick test_network_no_handler_discards;
@@ -384,4 +398,5 @@ let tests =
     Alcotest.test_case "corruption dropped" `Quick test_network_corruption_dropped;
     Alcotest.test_case "fragment duplication re-delivers" `Quick test_network_duplicates_deliver_twice;
     Alcotest.test_case "jitter reorders" `Quick test_network_jitter_reorders;
+    Alcotest.test_case "serialization delay per fragment" `Quick test_network_serialization_delay;
   ]

@@ -164,6 +164,37 @@ let test_unused_export () =
     (List.mem "test-only-export lib/demo/widget.mli Widget/probe"
        dropped.Driver.stale_baseline)
 
+(* An interface whose [make] has three options: bin/ passes [~size], a
+   test passes [?depth] to the opened module (tests count), and only the
+   unit itself passes [~color], which does not count. *)
+let gadget_units =
+  [
+    ("lib/demo/gadget.mli", "val make : ?size:int -> ?color:string -> ?depth:int -> unit -> int\n");
+    ( "lib/demo/gadget.ml",
+      "let make ?(size = 1) ?(color = \"\") ?(depth = 0) () = size + String.length color + depth\n\
+       let red = make ~color:\"red\" ()\n" );
+    ("bin/app.ml", "let () = print_int (Gadget.make ~size:2 ())\n");
+    ("test/test_gadget.ml", "open Gadget\nlet _ = make ?depth:(Some 3) ()\n");
+  ]
+
+let test_unused_optional () =
+  let o = Driver.analyze ~root:"." ~units:gadget_units ~baseline:(Baseline.empty ()) in
+  Alcotest.(check (list string))
+    "only the option no other unit passes" [ "Gadget.make.?color" ]
+    (flagged ~rule:"unused-optional" o.Driver.active);
+  (* A baseline entry does not hide it: the finding stays active and the
+     entry goes stale. *)
+  let path = Filename.temp_file "lint_baseline" ".txt" in
+  Baseline.save ~path o.Driver.findings;
+  let again = Driver.analyze ~root:"." ~units:gadget_units ~baseline:(Baseline.load ~path) in
+  Sys.remove path;
+  Alcotest.(check (list string))
+    "baselined, still active" [ "Gadget.make.?color" ]
+    (flagged ~rule:"unused-optional" again.Driver.active);
+  Alcotest.(check (list string))
+    "its entry is stale" [ "unused-optional lib/demo/gadget.mli Gadget.make/?color" ]
+    again.Driver.stale_baseline
+
 (* The report's document shape: renders and parses back unchanged, names
    its schema and counts active findings. *)
 let check_report (o : Driver.outcome) =
@@ -241,4 +272,5 @@ let tests =
     Alcotest.test_case "tree clean modulo proto baseline" `Quick test_tree_clean;
     Alcotest.test_case "tree proto report round-trips" `Quick test_tree_report;
     Alcotest.test_case "unused-export fixture" `Quick test_unused_export;
+    Alcotest.test_case "unused-optional fixture" `Quick test_unused_optional;
   ]

@@ -90,7 +90,7 @@ let probe_def : Runtime.def =
                   | Some members when members <> [] ->
                       let scd =
                         Scd.create ctx
-                          ~config:{ Scd.status_every = probe_status_every; resend_max = 32 }
+                          ~config:{ Scd.status_every = probe_status_every }
                           ~members ()
                       in
                       Store.set (Runtime.store ctx) ~key:"probe:self"

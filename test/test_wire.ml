@@ -34,16 +34,6 @@ let test_value_pp () =
   in
   Alcotest.(check string) "render" "{n=3; opt=some(false)}" (Value.to_string v)
 
-let test_value_size_monotone () =
-  let small = Value.str "ab" in
-  let big = Value.list [ small; small; small ] in
-  Alcotest.(check bool) "bigger value, bigger size" true (Value.size big > Value.size small)
-
-let test_value_depth () =
-  Alcotest.(check int) "flat" 1 (Value.depth (Value.int 1));
-  Alcotest.(check int) "nested" 3
-    (Value.depth (Value.list [ Value.tuple [ Value.int 1 ] ]))
-
 (* ---- Vtype ---- *)
 
 let test_vtype_check_builtin () =
@@ -92,13 +82,6 @@ let test_check_message_wildcard () =
   let pt = [ Vtype.wildcard ] in
   Alcotest.(check bool) "wildcard accepts anything" true
     (Result.is_ok (Vtype.check_message pt ~command:"whatever" [ Value.int 1 ]))
-
-let test_signature_pp () =
-  let s =
-    Vtype.signature "reserve" [ Vtype.Tint ] ~replies:[ Vtype.reply "ok" [] ]
-  in
-  Alcotest.(check string) "rendering" "reserve(int) replies (ok())"
-    (Format.asprintf "%a" Vtype.pp_signature s)
 
 (* ---- Codec ---- *)
 
@@ -361,13 +344,10 @@ let tests =
     Alcotest.test_case "value field" `Quick test_value_field;
     Alcotest.test_case "value equal" `Quick test_value_equal;
     Alcotest.test_case "value pp" `Quick test_value_pp;
-    Alcotest.test_case "value size" `Quick test_value_size_monotone;
-    Alcotest.test_case "value depth" `Quick test_value_depth;
     Alcotest.test_case "vtype builtins" `Quick test_vtype_check_builtin;
     Alcotest.test_case "vtype named" `Quick test_vtype_named;
     Alcotest.test_case "check_message" `Quick test_check_message;
     Alcotest.test_case "wildcard port type" `Quick test_check_message_wildcard;
-    Alcotest.test_case "signature pp" `Quick test_signature_pp;
     Alcotest.test_case "codec roundtrip basics" `Quick test_codec_roundtrip_basics;
     Alcotest.test_case "codec NaN" `Quick test_codec_nan_roundtrip;
     Alcotest.test_case "codec 24-bit bounds" `Quick test_codec_int_bounds;
