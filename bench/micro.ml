@@ -33,12 +33,29 @@ let fourkib = String.init 4096 (fun i -> Char.chr ((i * 13) mod 256))
 let test_codec_encode =
   Test.make ~name:"codec.encode message" (Staged.stage (fun () -> Codec.encode_exn sample_value))
 
-let test_codec_encode_reused =
-  Test.make ~name:"codec.encode message (reused encoder)"
-    (Staged.stage
-       (let enc = Codec.encoder () in
-        fun () ->
-          match Codec.encode_with enc sample_value with Ok s -> s | Error _ -> assert false))
+(* The runtime's own framing of a message like [sample_value]: the
+   direct envelope pair, encoding into one reused scratch buffer. *)
+let sample_target = Port_name.make ~node:2 ~guardian:5 ~index:0 ~uid:9
+let sample_reply = Some (Port_name.make ~node:1 ~guardian:2 ~index:3 ~uid:4)
+let sample_args = [ Value.int 123456; Value.str "passenger-007"; Value.int 42 ]
+let envelope_encoder = Codec.encoder ()
+
+let encode_sample_envelope () =
+  match
+    Codec.encode_envelope envelope_encoder ~target:sample_target ~command:"reserve"
+      ~args:sample_args ~reply_to:sample_reply ~sent_at:1_000_000
+  with
+  | Ok s -> s
+  | Error _ -> assert false
+
+let sample_envelope = encode_sample_envelope ()
+
+let test_codec_encode_envelope =
+  Test.make ~name:"codec.encode_envelope message" (Staged.stage encode_sample_envelope)
+
+let test_codec_decode_envelope =
+  Test.make ~name:"codec.decode_envelope message"
+    (Staged.stage (fun () -> Codec.decode_envelope ~config:Codec.default_config sample_envelope))
 
 let test_codec_decode =
   Test.make ~name:"codec.decode message" (Staged.stage (fun () -> Codec.decode_exn sample_encoded))
@@ -295,8 +312,9 @@ let test_reconcile_diff =
 let all_tests =
   [
     test_codec_encode;
-    test_codec_encode_reused;
     test_codec_decode;
+    test_codec_encode_envelope;
+    test_codec_decode_envelope;
     test_crc32_64;
     test_crc32;
     test_crc32_4k;

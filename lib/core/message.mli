@@ -31,7 +31,10 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Wire envelope}
 
-    On the wire a message travels together with its target port name. *)
+    On the wire a message travels together with its target port name, as
+    the record {!envelope} builds.  The runtime writes and reads it with
+    [Codec.encode_envelope]/[Codec.decode_envelope], which produce the
+    same bytes without building the record. *)
 
 val envelope : target:Port_name.t -> t -> Value.t
 

@@ -367,12 +367,10 @@ let deliver_body w sh dst_node_id body =
   | Some node ->
       if not node.up then Metrics.incr node.shard.shot.m_deliver_node_down
       else (
-        match Codec.decode ~config:w.config.codec body with
+        match Codec.decode_envelope ~config:w.config.codec body with
         | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed
-        | Ok env -> (
-            match Message.of_envelope env with
-            | Error _ -> Metrics.incr node.shard.shot.m_deliver_malformed
-            | Ok (target, msg) -> deliver_message w node target msg))
+        | Ok (target, command, args, reply_to, sent_at) ->
+            deliver_message w node target { Message.command; args; reply_to; sent_at })
 
 (* Route an already-composed message from a node to a target port,
    encoding it on the way out (bounds checks apply to system messages
@@ -384,8 +382,10 @@ let deliver_body w sh dst_node_id body =
    reassembled body in the outbox for the barrier exchange. *)
 let route w ~from ~target msg =
   let sh = from.shard in
-  let env = Message.envelope ~target msg in
-  match Codec.encode_with sh.sencoder env with
+  match
+    Codec.encode_envelope sh.sencoder ~target ~command:msg.Message.command ~args:msg.Message.args
+      ~reply_to:msg.Message.reply_to ~sent_at:msg.Message.sent_at
+  with
   | Error e -> raise (Send_failed (Format.asprintf "%a" Codec.pp_error e))
   | Ok body ->
       if target.Port_name.node = from.node_id then begin

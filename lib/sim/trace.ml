@@ -15,7 +15,7 @@ type 'e t = {
 
 let first_chunk = 64
 
-let create ?(capacity = 65536) ~category ~detail () =
+let create ?(capacity = 16384) ~category ~detail () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; category; detail; ats = [||]; evs = [||]; next = 0; total = 0 }
 

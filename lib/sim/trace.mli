@@ -20,7 +20,7 @@ val create :
   detail:(Format.formatter -> 'e -> unit) ->
   unit ->
   'e t
-(** Default capacity is 65536 events.  [category] and [detail] render an
+(** Default capacity is 16384 events.  [category] and [detail] render an
     event on read; they are never called by {!record}.
     @raise Invalid_argument if [capacity <= 0]. *)
 

@@ -45,107 +45,127 @@ let tag_named = 13
 let zigzag i = (i lsl 1) lxor (i asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
-let write_varint buf i =
-  let rec loop u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
-      loop (u lsr 7)
-    end
-  in
-  loop (zigzag i)
+(* The varint loops are top-level functions, not local closures over
+   [buf]/[r], so a call allocates nothing. *)
+let rec write_uvarint_loop buf u =
+  if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
+  else begin
+    Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
+    write_uvarint_loop buf (u lsr 7)
+  end
+
+let write_varint buf i = write_uvarint_loop buf (zigzag i)
 
 let write_uvarint buf u =
-  let rec loop u =
-    if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
-    else begin
-      Buffer.add_char buf (Char.chr ((u land 0x7f) lor 0x80));
-      loop (u lsr 7)
-    end
-  in
   if u < 0 then raise (Codec_error (Malformed "negative length"));
-  loop u
+  write_uvarint_loop buf u
 
 let write_int64 buf v =
   for shift = 0 to 7 do
     Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical v (shift * 8)) land 0xff))
   done
 
+let write_tag buf tag = Buffer.add_char buf (Char.chr tag)
+
+let write_name buf name =
+  write_uvarint buf (String.length name);
+  Buffer.add_string buf name
+
+(* The per-kind writers below are shared by [encode_value] and
+   [encode_envelope], so the two cannot disagree on a byte. *)
+let write_int config buf i =
+  if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
+  write_tag buf tag_int;
+  write_varint buf i
+
+let write_str config buf s =
+  if String.length s > config.max_string then
+    raise (Codec_error (String_too_long (String.length s)));
+  write_tag buf tag_str;
+  write_name buf s
+
+let write_port buf p =
+  write_tag buf tag_port;
+  write_varint buf p.Port_name.node;
+  write_varint buf p.Port_name.guardian;
+  write_varint buf p.Port_name.index;
+  write_varint buf p.Port_name.uid
+
 let rec encode_value config buf v =
   match v with
-  | Value.Unit -> Buffer.add_char buf (Char.chr tag_unit)
-  | Value.Bool false -> Buffer.add_char buf (Char.chr tag_false)
-  | Value.Bool true -> Buffer.add_char buf (Char.chr tag_true)
-  | Value.Int i ->
-      if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
-      Buffer.add_char buf (Char.chr tag_int);
-      write_varint buf i
+  | Value.Unit -> write_tag buf tag_unit
+  | Value.Bool false -> write_tag buf tag_false
+  | Value.Bool true -> write_tag buf tag_true
+  | Value.Int i -> write_int config buf i
   | Value.Real r ->
-      Buffer.add_char buf (Char.chr tag_real);
+      write_tag buf tag_real;
       write_int64 buf (Int64.bits_of_float r)
-  | Value.Str s ->
-      if String.length s > config.max_string then
-        raise (Codec_error (String_too_long (String.length s)));
-      Buffer.add_char buf (Char.chr tag_str);
-      write_uvarint buf (String.length s);
-      Buffer.add_string buf s
-  | Value.Listv items ->
-      Buffer.add_char buf (Char.chr tag_list);
-      write_uvarint buf (List.length items);
-      List.iter (encode_value config buf) items
-  | Value.Tuple items ->
-      Buffer.add_char buf (Char.chr tag_tuple);
-      write_uvarint buf (List.length items);
-      List.iter (encode_value config buf) items
+  | Value.Str s -> write_str config buf s
+  | Value.Listv items -> encode_seq config buf tag_list items
+  | Value.Tuple items -> encode_seq config buf tag_tuple items
   | Value.Record fields ->
-      Buffer.add_char buf (Char.chr tag_record);
+      write_tag buf tag_record;
       write_uvarint buf (List.length fields);
-      List.iter
-        (fun (name, fv) ->
-          write_uvarint buf (String.length name);
-          Buffer.add_string buf name;
-          encode_value config buf fv)
-        fields
-  | Value.Option None -> Buffer.add_char buf (Char.chr tag_none)
+      encode_fields config buf fields
+  | Value.Option None -> write_tag buf tag_none
   | Value.Option (Some inner) ->
-      Buffer.add_char buf (Char.chr tag_some);
+      write_tag buf tag_some;
       encode_value config buf inner
-  | Value.Portv p ->
-      Buffer.add_char buf (Char.chr tag_port);
-      write_varint buf p.Port_name.node;
-      write_varint buf p.Port_name.guardian;
-      write_varint buf p.Port_name.index;
-      write_varint buf p.Port_name.uid
+  | Value.Portv p -> write_port buf p
   | Value.Tokenv tok ->
       let owner, body, tag = Token.to_wire tok in
-      Buffer.add_char buf (Char.chr tag_token);
+      write_tag buf tag_token;
       write_varint buf owner;
       write_int64 buf body;
       write_int64 buf tag
   | Value.Named (name, rep) ->
-      Buffer.add_char buf (Char.chr tag_named);
-      write_uvarint buf (String.length name);
-      Buffer.add_string buf name;
+      write_tag buf tag_named;
+      write_name buf name;
       encode_value config buf rep
+
+and encode_seq config buf tag items =
+  write_tag buf tag;
+  write_uvarint buf (List.length items);
+  encode_items config buf items
+
+and encode_items config buf = function
+  | [] -> ()
+  | v :: rest ->
+      encode_value config buf v;
+      encode_items config buf rest
+
+and encode_fields config buf = function
+  | [] -> ()
+  | (name, v) :: rest ->
+      write_name buf name;
+      encode_value config buf v;
+      encode_fields config buf rest
 
 type reader = { input : string; mutable pos : int }
 
+let malformed reason = raise (Codec_error (Malformed reason))
+
 let read_byte r =
-  if r.pos >= String.length r.input then raise (Codec_error (Malformed "truncated input"));
+  if r.pos >= String.length r.input then malformed "truncated input";
   let c = Char.code r.input.[r.pos] in
   r.pos <- r.pos + 1;
   c
 
-let read_uvarint r =
-  let rec loop shift acc =
-    if shift > 62 then raise (Codec_error (Malformed "varint too long"));
-    let b = read_byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+let rec read_uvarint_from r shift acc =
+  if shift > 62 then malformed "varint too long";
+  let b = read_byte r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else read_uvarint_from r (shift + 7) acc
 
+let read_uvarint r = read_uvarint_from r 0 0
 let read_varint r = unzigzag (read_uvarint r)
+
+(* A collection count: a varint that wraps negative is corrupt input, not
+   an argument for [List.init]. *)
+let read_count r =
+  let n = read_uvarint r in
+  if n < 0 then malformed "negative count";
+  n
 
 let read_int64 r =
   let v = ref 0L in
@@ -155,51 +175,58 @@ let read_int64 r =
   done;
   !v
 
-let read_string r =
+(* Length of the string that starts at [r.pos], checked against the space
+   left, never as [r.pos + len]: an adversarial varint can make that sum
+   wrap negative and slip past the bound. *)
+let read_string_length r =
   let len = read_uvarint r in
-  (* compare against the space left, never [r.pos + len]: an adversarial
-     varint can make that sum wrap negative and slip past the bound *)
-  if len < 0 || len > String.length r.input - r.pos then
-    raise (Codec_error (Malformed "truncated string"));
+  if len < 0 || len > String.length r.input - r.pos then malformed "truncated string";
+  len
+
+let read_string r =
+  let len = read_string_length r in
   let s = String.sub r.input r.pos len in
   r.pos <- r.pos + len;
   s
+
+(* The per-kind readers take over after their tag byte, shared by
+   [decode_value] and [decode_envelope] like the writers above. *)
+let read_int config r =
+  let i = read_varint r in
+  if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
+  i
+
+let read_str config r =
+  let s = read_string r in
+  if String.length s > config.max_string then
+    raise (Codec_error (String_too_long (String.length s)));
+  s
+
+let read_port r =
+  let node = read_varint r in
+  let guardian = read_varint r in
+  let index = read_varint r in
+  let uid = read_varint r in
+  Port_name.make ~node ~guardian ~index ~uid
 
 let rec decode_value config r =
   let tag = read_byte r in
   if tag = tag_unit then Value.Unit
   else if tag = tag_false then Value.Bool false
   else if tag = tag_true then Value.Bool true
-  else if tag = tag_int then begin
-    let i = read_varint r in
-    if not (int_in_bounds config i) then raise (Codec_error (Int_out_of_bounds i));
-    Value.Int i
-  end
+  else if tag = tag_int then Value.Int (read_int config r)
   else if tag = tag_real then Value.Real (Int64.float_of_bits (read_int64 r))
-  else if tag = tag_str then begin
-    let s = read_string r in
-    if String.length s > config.max_string then
-      raise (Codec_error (String_too_long (String.length s)));
-    Value.Str s
-  end
+  else if tag = tag_str then Value.Str (read_str config r)
   else if tag = tag_list then Value.Listv (decode_seq config r)
   else if tag = tag_tuple then Value.Tuple (decode_seq config r)
-  else if tag = tag_record then begin
-    let n = read_uvarint r in
+  else if tag = tag_record then
     Value.Record
-      (List.init n (fun _ ->
+      (List.init (read_count r) (fun _ ->
            let name = read_string r in
            (name, decode_value config r)))
-  end
   else if tag = tag_none then Value.Option None
   else if tag = tag_some then Value.Option (Some (decode_value config r))
-  else if tag = tag_port then begin
-    let node = read_varint r in
-    let guardian = read_varint r in
-    let index = read_varint r in
-    let uid = read_varint r in
-    Value.Portv (Port_name.make ~node ~guardian ~index ~uid)
-  end
+  else if tag = tag_port then Value.Portv (read_port r)
   else if tag = tag_token then begin
     let owner = read_varint r in
     let body = read_int64 r in
@@ -210,11 +237,9 @@ let rec decode_value config r =
     let name = read_string r in
     Value.Named (name, decode_value config r)
   end
-  else raise (Codec_error (Malformed (Printf.sprintf "unknown tag %d" tag)))
+  else malformed (Printf.sprintf "unknown tag %d" tag)
 
-and decode_seq config r =
-  let n = read_uvarint r in
-  List.init n (fun _ -> decode_value config r)
+and decode_seq config r = List.init (read_count r) (fun _ -> decode_value config r)
 
 (* An encoder owns a scratch buffer reused across calls, so hot senders
    (Runtime.route encodes every message in the world) stop allocating and
@@ -224,28 +249,106 @@ type encoder = { enc_config : config; scratch : Buffer.t }
 
 let encoder ?(config = default_config) () = { enc_config = config; scratch = Buffer.create 256 }
 
-let encode_with enc v =
+(* The size check every encode ends with, once the writer has filled the
+   scratch buffer. *)
+let contents enc =
   let buf = enc.scratch in
-  Buffer.clear buf;
-  match encode_value enc.enc_config buf v with
-  | () ->
-      if Buffer.length buf > enc.enc_config.max_message then
-        Error (Message_too_long (Buffer.length buf))
-      else Ok (Buffer.contents buf)
+  if Buffer.length buf > enc.enc_config.max_message then Error (Message_too_long (Buffer.length buf))
+  else Ok (Buffer.contents buf)
+
+let encode ?config v =
+  let enc = encoder ?config () in
+  match encode_value enc.enc_config enc.scratch v with
+  | () -> contents enc
   | exception Codec_error e -> Error e
 
-let encode ?config v = encode_with (encoder ?config ()) v
-
-let decode ?(config = default_config) s =
+let decode_from config s read =
   if String.length s > config.max_message then Error (Message_too_long (String.length s))
   else
     let r = { input = s; pos = 0 } in
-    match decode_value config r with
+    match read config r with
     | v -> if r.pos <> String.length s then Error (Malformed "trailing bytes") else Ok v
     | exception Codec_error e -> Error e
+
+let decode ?(config = default_config) s = decode_from config s decode_value
 
 let encode_exn v =
   match encode v with Ok s -> s | Error e -> raise (Codec_error e)
 
 let decode_exn s =
   match decode s with Ok v -> v | Error e -> raise (Codec_error e)
+
+(* ---- The message envelope ----
+
+   The runtime frames every message as the record
+   [{target; command; args; reply; sent_at}] (see [Message.envelope]).
+   These two functions write and read exactly the bytes [encode] and
+   [decode] produce for that record, without building it: fields go
+   straight from the arguments to the buffer and from the input to the
+   result, and field names are compared in place.  Decoding accepts only
+   what [encode_envelope] writes, fields in order. *)
+
+let envelope_fields = 5
+
+let write_envelope config buf ~target ~command ~args ~reply_to ~sent_at =
+  write_tag buf tag_record;
+  write_uvarint buf envelope_fields;
+  write_name buf "target";
+  write_port buf target;
+  write_name buf "command";
+  write_str config buf command;
+  write_name buf "args";
+  encode_seq config buf tag_list args;
+  write_name buf "reply";
+  (match reply_to with
+  | None -> write_tag buf tag_none
+  | Some p ->
+      write_tag buf tag_some;
+      write_port buf p);
+  write_name buf "sent_at";
+  write_int config buf sent_at
+
+let encode_envelope enc ~target ~command ~args ~reply_to ~sent_at =
+  Buffer.clear enc.scratch;
+  match write_envelope enc.enc_config enc.scratch ~target ~command ~args ~reply_to ~sent_at with
+  | () -> contents enc
+  | exception Codec_error e -> Error e
+
+let expect_tag r tag = if read_byte r <> tag then malformed "not a message envelope"
+
+let expect_name r name =
+  let len = read_string_length r in
+  if len <> String.length name then malformed "not a message envelope";
+  for i = 0 to len - 1 do
+    if r.input.[r.pos + i] <> name.[i] then malformed "not a message envelope"
+  done;
+  r.pos <- r.pos + len
+
+let read_envelope config r =
+  expect_tag r tag_record;
+  if read_count r <> envelope_fields then malformed "not a message envelope";
+  expect_name r "target";
+  expect_tag r tag_port;
+  let target = read_port r in
+  expect_name r "command";
+  expect_tag r tag_str;
+  let command = read_str config r in
+  expect_name r "args";
+  expect_tag r tag_list;
+  let args = decode_seq config r in
+  expect_name r "reply";
+  let tag = read_byte r in
+  let reply_to =
+    if tag = tag_none then None
+    else if tag = tag_some then begin
+      expect_tag r tag_port;
+      Some (read_port r)
+    end
+    else malformed "not a message envelope"
+  in
+  expect_name r "sent_at";
+  expect_tag r tag_int;
+  let sent_at = read_int config r in
+  (target, command, args, reply_to, sent_at)
+
+let decode_envelope ~config s = decode_from config s read_envelope

@@ -39,25 +39,43 @@ exception Codec_error of error
 val encode : ?config:config -> Value.t -> (string, error) result
 val decode : ?config:config -> string -> (Value.t, error) result
 
-(** {2 Reusable encoders}
-
-    [encode] allocates a fresh scratch buffer per call.  A long-lived
-    sender (the runtime encodes every message it routes) should mint one
-    {!encoder} and call {!encode_with}: the scratch buffer is reused
-    across calls, so steady-state encoding allocates only the output
-    string. *)
-
-type encoder
-
-val encoder : ?config:config -> unit -> encoder
-
-val encode_with : encoder -> Value.t -> (string, error) result
-(** Same contract as {!encode} with the same [config].  Not reentrant:
-    the returned string is built in [encoder]'s scratch buffer, which the
-    next [encode_with] on the same handle reuses. *)
-
 val encode_exn : Value.t -> string
 (** {!encode} under {!default_config}.  @raise Codec_error *)
 
 val decode_exn : string -> Value.t
 (** {!decode} under {!default_config}.  @raise Codec_error *)
+
+(** {2 The message envelope}
+
+    The runtime frames every message as the record
+    [{target; command; args; reply; sent_at}] ([Message.envelope]).  This
+    pair writes and reads that record's exact bytes without building a
+    {!Value.t} for it, so the wire is the same as {!encode} of the record.
+    Every bound of [config] is checked as {!encode} and {!decode} check it. *)
+
+type encoder
+(** A scratch buffer reused across calls, with the [config] it encodes
+    under: steady-state encoding allocates only the output string. *)
+
+val encoder : ?config:config -> unit -> encoder
+
+val encode_envelope :
+  encoder ->
+  target:Port_name.t ->
+  command:string ->
+  args:Value.t list ->
+  reply_to:Port_name.t option ->
+  sent_at:int ->
+  (string, error) result
+(** The bytes of {!encode} of the envelope record, or the same error.
+    Not reentrant: every call on one [encoder] writes its one scratch
+    buffer. *)
+
+val decode_envelope :
+  config:config ->
+  string ->
+  (Port_name.t * string * Value.t list * Port_name.t option * int, error) result
+(** [(target, command, args, reply_to, sent_at)] of an envelope that
+    {!encode_envelope} wrote, or the error {!decode} would return for its
+    bytes.  Any other input, including the envelope's fields in another
+    order, is [Malformed]. *)

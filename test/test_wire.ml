@@ -185,31 +185,53 @@ let test_codec_adversarial_length () =
   | Ok _ -> Alcotest.fail "negative length accepted"
   | Error e -> Alcotest.failf "wrong error: %a" Codec.pp_error e
 
+(* Collection counts are varints too: one that decodes negative is corrupt
+   input, for lists, tuples and records alike, not a crash in List.init. *)
+let test_codec_negative_count () =
+  List.iter
+    (fun tag ->
+      match Codec.decode (tag ^ "\xff\xff\xff\xff\xff\xff\xff\xff\x7f") with
+      | Error (Codec.Malformed _) -> ()
+      | Ok _ -> Alcotest.fail "negative count accepted"
+      | Error e -> Alcotest.failf "wrong error: %a" Codec.pp_error e)
+    [ "\x06"; "\x07"; "\x08" ]
+
+let envelope_bytes ?config (target, command, args, reply_to, sent_at) =
+  Codec.encode ?config
+    (Dcp_core.Message.envelope ~target { Dcp_core.Message.command; args; reply_to; sent_at })
+
 let test_codec_encoder_reuse () =
   let enc = Codec.encoder () in
-  let values =
+  let encode_with enc (target, command, args, reply_to, sent_at) =
+    Codec.encode_envelope enc ~target ~command ~args ~reply_to ~sent_at
+  in
+  let envelopes =
     [
-      Value.unit;
-      Value.int 42;
-      Value.str (String.make 300 'x');
-      Value.record [ ("p", Value.port sample_port); ("t", Value.token sample_token) ];
-      Value.str "";
+      (sample_port, "ping", [], Some sample_port, 0);
+      (sample_port, "big", [ Value.str (String.make 300 'x') ], None, 1_000_000);
+      ( sample_port,
+        "mixed",
+        [ Value.record [ ("p", Value.port sample_port); ("t", Value.token sample_token) ] ],
+        None,
+        -5 );
+      (sample_port, "", [ Value.str "" ], Some sample_port, max_int);
     ]
   in
-  (* same bytes as the one-shot API, across repeated reuse of one handle *)
+  (* same bytes as encoding the envelope record, across reuse of one handle *)
   List.iter
-    (fun v ->
-      Alcotest.(check string) "encode_with = encode" (Codec.encode_exn v)
-        (Result.get_ok (Codec.encode_with enc v)))
-    values;
+    (fun e ->
+      Alcotest.(check string) "encode_envelope = encode" (Result.get_ok (envelope_bytes e))
+        (Result.get_ok (encode_with enc e)))
+    envelopes;
   (* an error must not poison the handle for the next message *)
-  let small = Codec.encoder ~config:{ Codec.default_config with max_message = 8 } () in
-  (match Codec.encode_with small (Value.str (String.make 64 'y')) with
+  let small = Codec.encoder ~config:{ Codec.default_config with max_message = 100 } () in
+  (match encode_with small (List.nth envelopes 1) with
   | Error (Codec.Message_too_long _) -> ()
   | _ -> Alcotest.fail "expected Message_too_long");
+  let ping = List.hd envelopes in
   Alcotest.(check string) "handle survives an error"
-    (Codec.encode_exn Value.unit)
-    (Result.get_ok (Codec.encode_with small Value.unit))
+    (Result.get_ok (envelope_bytes ping))
+    (Result.get_ok (encode_with small ping))
 
 let test_codec_trailing_bytes () =
   let s = Codec.encode_exn Value.unit ^ "junk" in
@@ -355,6 +377,7 @@ let tests =
     Alcotest.test_case "codec message limit" `Quick test_codec_message_limit;
     Alcotest.test_case "codec malformed" `Quick test_codec_malformed_input;
     Alcotest.test_case "codec adversarial length" `Quick test_codec_adversarial_length;
+    Alcotest.test_case "codec negative count" `Quick test_codec_negative_count;
     Alcotest.test_case "codec encoder reuse" `Quick test_codec_encoder_reuse;
     Alcotest.test_case "codec trailing bytes" `Quick test_codec_trailing_bytes;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
